@@ -110,6 +110,15 @@ void* operator new(std::size_t n, std::align_val_t a) {
 void* operator new[](std::size_t n, std::align_val_t a) {
   return counted_alloc_aligned(n, static_cast<std::size_t>(a));
 }
+// std::stable_sort's temporary buffer comes from the nothrow form; it must
+// be replaced too, or its free() pairs with the runtime's own operator new.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+  return operator new(n, t);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -254,21 +263,20 @@ RoomResult run_room(std::size_t shard_id, std::uint64_t seed, bool use_arena) {
   const env::MediumStats& m = env.medium().stats();
   r.transmissions = m.transmissions;
   r.arena = world.arena().stats();
-  std::uint64_t fp = sim::mix_hash(seed, r.events);
-  fp = sim::mix_hash(fp, m.transmissions);
-  fp = sim::mix_hash(fp, m.deliveries_attempted);
-  fp = sim::mix_hash(fp, m.deliveries_decodable);
-  fp = sim::mix_hash(fp, m.losses_sinr);
-  fp = sim::mix_hash(fp, m.losses_half_duplex);
-  fp = sim::mix_hash(fp, pings);
-  fp = sim::mix_hash(fp, registrar.registered_count());
-  fp = sim::mix_hash(fp, outcome.success ? 1 : 0);
-  fp = sim::mix_hash(fp, outcome.steps_completed);
-  fp = sim::mix_hash(fp, outcome.errors);
-  fp = sim::mix_hash(
-      fp, projector.viewer() ? projector.viewer()->stats().updates_received
-                             : 0);
-  r.fingerprint = fp;
+  sim::RoomOutcome o;
+  o.transmissions = m.transmissions;
+  o.deliveries_attempted = m.deliveries_attempted;
+  o.deliveries_decodable = m.deliveries_decodable;
+  o.losses_sinr = m.losses_sinr;
+  o.losses_half_duplex = m.losses_half_duplex;
+  o.pings = pings;
+  o.registered = registrar.registered_count();
+  o.success = outcome.success;
+  o.steps_completed = outcome.steps_completed;
+  o.errors = outcome.errors;
+  o.viewer_updates =
+      projector.viewer() ? projector.viewer()->stats().updates_received : 0;
+  r.fingerprint = sim::room_fingerprint(seed, r.events, o);
   if (std::getenv("FLEET_DEBUG_ROOM")) {
     std::printf(
         "room %zu: events=%llu tx=%llu success=%d steps=%zu viewer=%llu\n",

@@ -679,18 +679,23 @@ double RadioMedium::interference_mw(const Transmission& tx,
 }
 
 bool RadioMedium::carrier_busy(const RadioEndpoint& ep) const {
-  return carrier_busy_at(ep, ep.radio_config(), ep.position());
+  return carrier_busy_until(ep, ep.radio_config(), ep.position()) >
+         world_.now();
 }
 
-bool RadioMedium::carrier_busy_at(const RadioEndpoint& ep,
-                                  const RadioConfig& cfg, Vec2 pos) const {
+sim::Time RadioMedium::carrier_busy_until(const RadioEndpoint& ep,
+                                          const RadioConfig& cfg,
+                                          Vec2 pos) const {
+  sim::Time horizon;
+  double dbm;
   if (options_.batch) {
     ensure_ep_map();
-    return energy_at_batched(pos, cfg.channel, cfg.id,
-                             observer_index(ep, cfg.id)) >=
-           cfg.cca_threshold_dbm;
+    dbm = energy_at_batched(pos, cfg.channel, cfg.id,
+                            observer_index(ep, cfg.id), horizon);
+  } else {
+    dbm = energy_at_scalar(pos, cfg.channel, cfg.id, horizon);
   }
-  return energy_at(pos, cfg.channel, cfg.id) >= cfg.cca_threshold_dbm;
+  return dbm >= cfg.cca_threshold_dbm ? horizon : world_.now();
 }
 
 std::uint32_t RadioMedium::observer_index(const RadioEndpoint& ep,
@@ -706,7 +711,8 @@ std::uint32_t RadioMedium::observer_index(const RadioEndpoint& ep,
 
 double RadioMedium::energy_at_batched(Vec2 pos, int channel,
                                       std::uint64_t observer_id,
-                                      std::uint32_t oi) const {
+                                      std::uint32_t oi,
+                                      sim::Time& horizon) const {
   // Batched CCA: answer from the per-observer cache when the energy can
   // not have changed since it was computed (see CcaEntry), else one pass
   // over the in-flight list — every live transmission, ascending id, the
@@ -720,6 +726,7 @@ double RadioMedium::energy_at_batched(Vec2 pos, int channel,
         e.pos == pos &&
         (now == e.t || (!e.exact_only && e.t < now && now < e.valid_until))) {
       ++batch_stats_.cca_hits;
+      horizon = e.valid_until;
       return e.value_dbm;
     }
   }
@@ -760,20 +767,29 @@ double RadioMedium::energy_at_batched(Vec2 pos, int channel,
     cca_cache_[oi] = {seq,         observer_id, pos,    now,
                       valid_until, result,      channel, exact_only};
   }
+  horizon = valid_until;
   return result;
 }
 
 double RadioMedium::energy_at(Vec2 pos, int channel,
                               std::uint64_t observer_id) const {
+  sim::Time horizon;
   if (options_.batch) {
     ensure_ep_map();
     std::uint32_t oi = kNoEpIdx;
     const auto it = ep_index_.find(observer_id);
     if (it != ep_index_.end()) oi = it->second;
-    return energy_at_batched(pos, channel, observer_id, oi);
+    return energy_at_batched(pos, channel, observer_id, oi, horizon);
   }
+  return energy_at_scalar(pos, channel, observer_id, horizon);
+}
+
+double RadioMedium::energy_at_scalar(Vec2 pos, int channel,
+                                     std::uint64_t observer_id,
+                                     sim::Time& horizon) const {
   const sim::Time now = world_.now();
   double total_mw = 0.0;
+  horizon = sim::Time::max();
   const auto contribution = [&](const Transmission& tx) {
     if (tx.sender_id == observer_id) return;
     // A transmission starting at this exact instant is not yet sensed:
@@ -782,6 +798,7 @@ double RadioMedium::energy_at(Vec2 pos, int channel,
     if (tx.start >= now || tx.end <= now) return;
     const double ch = channel_overlap(tx.channel, channel);
     if (ch <= 0.0) return;
+    if (tx.end < horizon) horizon = tx.end;
     total_mw += model_.received_mw(tx.power_dbm, tx.sender_pos, pos,
                                    tx.sender_id, observer_id) *
                 ch;

@@ -170,11 +170,15 @@ class RadioMedium {
   /// Clear-channel assessment: total in-flight energy at `ep`'s position on
   /// its channel exceeds its CCA threshold.
   bool carrier_busy(const RadioEndpoint& ep) const;
-  /// As above with the config and position already in hand — lets a
-  /// concrete endpoint (which knows its own fields) skip the virtual
-  /// getters on the per-backoff-slot CCA path.
-  bool carrier_busy_at(const RadioEndpoint& ep, const RadioConfig& cfg,
-                       Vec2 pos) const;
+  /// CCA with a horizon, for an observer with config `cfg` that stays at
+  /// `pos` (passing them lets a concrete endpoint skip the virtual
+  /// getters). Returns now() when the carrier is clear. When it is busy,
+  /// returns the earliest end among the transmissions the energy sum
+  /// counted (Time::max() if it counted none): the carrier stays busy until
+  /// then, because a transmission that starts later only adds a
+  /// non-negative term to the sum. Taken from the same scan as the energy.
+  sim::Time carrier_busy_until(const RadioEndpoint& ep, const RadioConfig& cfg,
+                               Vec2 pos) const;
 
   /// In-flight energy (dBm) at a position on a channel; -inf-ish when idle.
   double energy_at(Vec2 pos, int channel, std::uint64_t observer_id) const;
@@ -345,9 +349,13 @@ class RadioMedium {
   /// (epoch-validated). Caller must have run ensure_ep_map().
   std::uint32_t observer_index(const RadioEndpoint& ep,
                                std::uint64_t id) const;
-  /// Batched CCA body with the observer index already resolved.
+  /// Batched CCA body with the observer index already resolved. Sets
+  /// `horizon` to the earliest end among the counted transmissions.
   double energy_at_batched(Vec2 pos, int channel, std::uint64_t observer_id,
-                           std::uint32_t oi) const;
+                           std::uint32_t oi, sim::Time& horizon) const;
+  /// The scalar (reference) CCA scan, with the same horizon out-parameter.
+  double energy_at_scalar(Vec2 pos, int channel, std::uint64_t observer_id,
+                          sim::Time& horizon) const;
 
   sim::World& world_;
   PathLossModel model_;

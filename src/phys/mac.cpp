@@ -17,6 +17,7 @@ CsmaMac::CsmaMac(sim::World& world, Transceiver& radio, sim::Rng rng,
       cw_(params.cw_min) {
   radio_.set_receive_handler(
       [this](const env::FrameDelivery& d) { on_radio_frame(d); });
+  radio_.set_retune_handler([this] { on_retune(); });
   const auto layer = lpc::Layer::kPhysical;
   m_sent_data_ = obs::counter(world_, "phys.mac.sent_data", layer);
   m_sent_acks_ = obs::counter(world_, "phys.mac.sent_acks", layer);
@@ -63,31 +64,68 @@ void CsmaMac::maybe_start() {
   enter_difs();
 }
 
-void CsmaMac::enter_difs() {
-  state_ = State::kDifs;
-  const auto gen = bump_gen();
-  if (radio_.carrier_busy() || radio_.transmitting()) {
-    // Defer: re-check after a slot.
-    ++outstanding_events_;
-    world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
-                             [this, gen] {
-      --outstanding_events_;
-      if (gen == gen_ && state_ == State::kDifs) enter_difs();
-    });
-    return;
-  }
-  ++outstanding_events_;
-  world_.sim().schedule_in(params_.difs, sim::EventCategory::kMac,
-                           [this, gen] {
-                             --outstanding_events_;
-                             difs_elapsed(gen);
-                           });
+sim::Time CsmaMac::busy_until() const {
+  return std::max(radio_.carrier_busy_until(), radio_.tx_busy_until());
 }
 
-void CsmaMac::difs_elapsed(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kDifs) return;
-  if (radio_.carrier_busy() || radio_.transmitting()) {
-    enter_difs();
+void CsmaMac::arm(sim::Time delay, void (CsmaMac::*on_fire)()) {
+  cancel_timer();
+  ++gen_;
+  ++outstanding_events_;
+  timer_ = world_.sim().schedule_in(delay, sim::EventCategory::kMac,
+                                    [this, on_fire] {
+                                      --outstanding_events_;
+                                      timer_ = {};
+                                      (this->*on_fire)();
+                                    });
+}
+
+void CsmaMac::cancel_timer() {
+  if (world_.sim().cancel(timer_)) --outstanding_events_;
+  timer_ = {};
+}
+
+void CsmaMac::enter_difs() {
+  const sim::Time until = busy_until();
+  if (until > world_.now()) {
+    defer(until);
+    return;
+  }
+  state_ = State::kDifs;
+  arm(params_.difs, &CsmaMac::difs_elapsed);
+}
+
+void CsmaMac::defer(sim::Time until) {
+  state_ = State::kDefer;
+  defer_from_ = world_.now();
+  if (until == sim::Time::max()) {
+    // Busy with no transmission counted (a CCA threshold under the energy
+    // floor): nothing on the air can clear it, only a frame-end resync.
+    cancel_timer();
+    return;
+  }
+  // Every slot boundary before the horizon would sense a busy medium, so
+  // the first one at or after it is where sensing resumes.
+  const std::int64_t wait = (until - defer_from_).count();
+  const std::int64_t slot = params_.slot.count();
+  arm(params_.slot * ((wait + slot - 1) / slot), &CsmaMac::enter_difs);
+}
+
+void CsmaMac::on_retune() {
+  if (state_ != State::kDefer || !timer_.valid()) return;
+  // Boundaries up to now sensed the old channel; the next one senses the
+  // new channel, as a per-slot poll would.
+  const sim::Time now = world_.now();
+  const sim::Time slot = params_.slot;
+  const sim::Time next =
+      defer_from_ + slot * ((now - defer_from_).count() / slot.count() + 1);
+  arm(next - now, &CsmaMac::enter_difs);
+}
+
+void CsmaMac::difs_elapsed() {
+  const sim::Time until = busy_until();
+  if (until > world_.now()) {
+    defer(until);
     return;
   }
   state_ = State::kBackoff;
@@ -95,31 +133,19 @@ void CsmaMac::difs_elapsed(std::uint64_t gen) {
     backoff_slots_ =
         static_cast<int>(rng_.uniform_int(0, std::max(cw_ - 1, 0)));
   }
-  const auto g2 = bump_gen();
-  ++outstanding_events_;
-  world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
-                           [this, g2] {
-                             --outstanding_events_;
-                             backoff_slot(g2);
-                           });
+  arm(params_.slot, &CsmaMac::backoff_slot);
 }
 
-void CsmaMac::backoff_slot(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kBackoff) return;
-  if (radio_.carrier_busy() || radio_.transmitting()) {
+void CsmaMac::backoff_slot() {
+  const sim::Time until = busy_until();
+  if (until > world_.now()) {
     // Freeze the counter and defer for another DIFS.
-    enter_difs();
+    defer(until);
     return;
   }
   if (backoff_slots_ > 0) {
     --backoff_slots_;
-    const auto g2 = bump_gen();
-    ++outstanding_events_;
-    world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
-                             [this, g2] {
-                               --outstanding_events_;
-                               backoff_slot(g2);
-                             });
+    arm(params_.slot, &CsmaMac::backoff_slot);
     return;
   }
   transmit_active();
@@ -140,18 +166,10 @@ void CsmaMac::transmit_active() {
   frame->payload = active_->payload;
 
   const std::size_t bits = params_.header_bits + active_->payload_bits;
-  const sim::Time air = radio_.transmit(bits, frame);
-  const auto gen = bump_gen();
-  ++outstanding_events_;
-  world_.sim().schedule_in(air, sim::EventCategory::kMac,
-                           [this, gen] {
-                             --outstanding_events_;
-                             tx_finished(gen);
-                           });
+  arm(radio_.transmit(bits, frame), &CsmaMac::tx_finished);
 }
 
-void CsmaMac::tx_finished(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kTransmitting) return;
+void CsmaMac::tx_finished() {
   if (active_->dst == kBroadcast) {
     finish_active(true);
     return;
@@ -159,18 +177,10 @@ void CsmaMac::tx_finished(std::uint64_t gen) {
   state_ = State::kAwaitAck;
   const sim::Time ack_air =
       sim::Time::sec(static_cast<double>(params_.ack_bits) / bitrate());
-  const sim::Time timeout = params_.sifs + ack_air + params_.slot * 4;
-  const auto g2 = bump_gen();
-  ++outstanding_events_;
-  world_.sim().schedule_in(timeout, sim::EventCategory::kMac,
-                           [this, g2] {
-                             --outstanding_events_;
-                             ack_timeout(g2);
-                           });
+  arm(params_.sifs + ack_air + params_.slot * 4, &CsmaMac::ack_timeout);
 }
 
-void CsmaMac::ack_timeout(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kAwaitAck) return;
+void CsmaMac::ack_timeout() {
   ++stats_.retries;
   ++active_->retries;
   if (m_retries_) m_retries_->add();
@@ -191,6 +201,7 @@ void CsmaMac::ack_timeout(std::uint64_t gen) {
 }
 
 void CsmaMac::finish_active(bool delivered) {
+  cancel_timer();  // the ACK timeout, when an ACK ends the exchange
   cw_ = params_.cw_min;
   if (m_service_ != nullptr) {
     const sim::Time service = world_.now() - active_->enqueued_at;
@@ -199,7 +210,6 @@ void CsmaMac::finish_active(bool delivered) {
   auto cb = std::move(active_->cb);
   active_.reset();
   state_ = State::kIdle;
-  bump_gen();
   if (cb) cb(delivered);
   maybe_start();
 }
@@ -208,7 +218,8 @@ void CsmaMac::on_radio_frame(const env::FrameDelivery& delivery) {
   // Every frame end is a synchronization point: contending stations that
   // were deferring or counting down resume DIFS together, so equal backoff
   // draws genuinely collide (as in DCF).
-  if (state_ == State::kDifs || state_ == State::kBackoff) {
+  if (state_ == State::kDefer || state_ == State::kDifs ||
+      state_ == State::kBackoff) {
     enter_difs();
   }
   if (!delivery.decodable) return;
@@ -306,6 +317,7 @@ void CsmaMac::restore(snap::SectionReader& r) {
   queue_.clear();
   active_.reset();
   state_ = State::kIdle;
+  timer_ = {};  // the kernel's pending set was rebuilt without it
   backoff_slots_ = 0;
   outstanding_events_ = 0;
   stats_.enqueued = r.u64();

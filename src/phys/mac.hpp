@@ -5,6 +5,15 @@
 // frames are sent once without acknowledgement. Collisions are not decided
 // by the MAC: overlapping transmissions simply fail SINR at the medium and
 // the resulting ACK timeouts drive the backoff, as on real hardware.
+//
+// Deferral is event-driven. A station that finds the medium busy does not
+// re-sense it every slot: it asks the medium how long the carrier is sure
+// to stay busy (RadioMedium::carrier_busy_until) and wakes once, at the
+// first slot boundary at or after that horizon. That is the instant a
+// per-slot poll would first have found the carrier clear, so the two rules
+// behave identically (see DESIGN.md "MAC deferral"). Each station keeps at
+// most one live contention timer; a resync or an ACK that supersedes it
+// cancels it in the kernel instead of leaving it to fire as a no-op.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +108,8 @@ class CsmaMac {
   std::size_t queue_depth() const { return queue_.size() + (active_ ? 1 : 0); }
 
   // --- checkpoint/restore (see src/snap) ------------------------------------
-  // MAC timer events capture generation tokens and frame payloads, so they
-  // are never serialized; checkpoints are only taken when the MAC is
+  // MAC timer events capture the MAC and the frame in flight, so they are
+  // never serialized; checkpoints are only taken when the MAC is
   // quiescent (idle, empty queue, no outstanding timer events — the
   // deferral loop in snap::CheckpointManager waits for this).
   bool snap_quiescent(std::string* why) const;
@@ -118,20 +127,35 @@ class CsmaMac {
     sim::Time enqueued_at = sim::Time::zero();  // for service-time latency
   };
 
-  enum class State { kIdle, kDifs, kBackoff, kTransmitting, kAwaitAck };
+  // kDefer: the carrier is busy; one wake is armed at the busy horizon.
+  enum class State {
+    kIdle, kDefer, kDifs, kBackoff, kTransmitting, kAwaitAck
+  };
 
   void maybe_start();
+  /// Senses the medium: defers when it is busy, else starts DIFS.
   void enter_difs();
-  void difs_elapsed(std::uint64_t gen);
-  void backoff_slot(std::uint64_t gen);
+  /// Waits out a busy medium: one wake at the first slot boundary (from
+  /// now) at or after `until`.
+  void defer(sim::Time until);
+  /// The radio's channel changed: a pending deferral wake was computed for
+  /// the old channel, so move it to the next slot boundary of its grid.
+  void on_retune();
+  void difs_elapsed();
+  void backoff_slot();
   void transmit_active();
-  void tx_finished(std::uint64_t gen);
-  void ack_timeout(std::uint64_t gen);
+  void tx_finished();
+  void ack_timeout();
   void finish_active(bool delivered);
   void on_radio_frame(const env::FrameDelivery& delivery);
   void send_ack(MacAddress dst, std::uint32_t seq);
   double bitrate() const;
-  std::uint64_t bump_gen() { return ++gen_; }
+  /// Latest of the carrier's busy horizon and the end of this radio's own
+  /// transmission; now() when the station may contend.
+  sim::Time busy_until() const;
+  /// Arms the station's one contention timer, cancelling any pending one.
+  void arm(sim::Time delay, void (CsmaMac::*on_fire)());
+  void cancel_timer();
 
   sim::World& world_;
   Transceiver& radio_;
@@ -143,13 +167,18 @@ class CsmaMac {
   std::deque<OutFrame> queue_;
   std::unique_ptr<OutFrame> active_;
   State state_ = State::kIdle;
-  std::uint64_t gen_ = 0;  // invalidates stale timer events on transitions
+  // The contention timer (defer wake, DIFS, backoff slot, frame end or ACK
+  // timeout): at most one is pending, and timer_ is its handle.
+  sim::EventHandle timer_;
+  std::uint64_t gen_ = 0;  // timers armed so far (kept in the snapshot)
+  sim::Time defer_from_;   // slot-grid origin of the pending defer wake
   int cw_ = 16;
   int backoff_slots_ = 0;
   std::uint32_t next_seq_ = 1;
   std::unordered_map<MacAddress, std::uint32_t> last_seq_from_;
-  // Scheduled-but-unfired MAC events (live or stale-gen). Nonzero blocks
-  // checkpointing: stale timer events cannot be re-created on restore.
+  // Scheduled-but-unfired MAC events: the contention timer plus pending
+  // SIFS ACKs. Nonzero blocks checkpointing: a timer captures the frame in
+  // flight and cannot be re-created on restore.
   int outstanding_events_ = 0;
 
   // Telemetry handles (null when no registry is attached to the world).

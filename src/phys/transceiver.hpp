@@ -61,16 +61,34 @@ class Transceiver final : public env::RadioEndpoint {
 
   double bitrate_bps() const { return params_.bitrate_bps; }
 
-  // Inline: the CSMA MAC polls both once per backoff slot.
+  // Inline: the CSMA MAC senses once per DIFS and backoff slot.
   bool transmitting() const { return world_.now() < tx_busy_until_; }
-  bool carrier_busy() const {
-    return medium_.carrier_busy_at(*this, params_.config, position());
+  /// End of this radio's current (or last) transmission.
+  sim::Time tx_busy_until() const { return tx_busy_until_; }
+  /// Clear-channel assessment with a horizon (see
+  /// RadioMedium::carrier_busy_until): now() when the carrier is clear,
+  /// else a time before which it is sure to stay busy. That guarantee holds
+  /// for a radio that stays where it is, so a radio that can move gets the
+  /// next nanosecond: it must sense again at its next slot.
+  sim::Time carrier_busy_until() const {
+    const sim::Time until =
+        medium_.carrier_busy_until(*this, params_.config, position());
+    if (fixed_pos_valid_ || until == world_.now()) return until;
+    return world_.now() + sim::Time::ns(1);
   }
 
   void set_receive_handler(ReceiveHandler h) { handler_ = std::move(h); }
+  /// Invoked after set_channel() moves the radio to another channel.
+  void set_retune_handler(std::function<void()> h) {
+    retune_handler_ = std::move(h);
+  }
   void set_powered(bool on) { powered_ = on; }
   bool powered() const { return powered_; }
-  void set_channel(int channel) { params_.config.channel = channel; }
+  void set_channel(int channel) {
+    if (channel == params_.config.channel) return;
+    params_.config.channel = channel;
+    if (retune_handler_) retune_handler_();
+  }
   int channel() const { return params_.config.channel; }
   double tx_power_dbm() const { return params_.tx_power_dbm; }
 
@@ -90,6 +108,7 @@ class Transceiver final : public env::RadioEndpoint {
   const env::MobilityModel* mobility_;
   Params params_;
   ReceiveHandler handler_;
+  std::function<void()> retune_handler_;
   Battery* battery_ = nullptr;
   bool powered_ = true;
   bool fixed_pos_valid_ = false;

@@ -1,7 +1,8 @@
 #include "scn/blob.hpp"
 
-#include <functional>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "scn/passes.hpp"
 #include "sim/time.hpp"
@@ -31,13 +32,16 @@ void write_expr(const Expr& e, snap::SectionWriter& w) {
   write_expr_post(e, w);
 }
 
-std::unique_ptr<Expr> read_expr(snap::SectionReader& r) {
+/// Operand stack of read_expr, shared by every expression of one decode.
+using ExprStack = std::vector<std::unique_ptr<Expr>>;
+
+std::unique_ptr<Expr> read_expr(snap::SectionReader& r, ExprStack& stack) {
   const std::uint32_t ops = r.u32();
   if (ops == 0 || ops > 4096) {
     throw ScnError("malformed expression stream (" + std::to_string(ops) +
                    " opcodes)");
   }
-  std::vector<std::unique_ptr<Expr>> stack;
+  stack.clear();
   for (std::uint32_t k = 0; k < ops; ++k) {
     const auto op = static_cast<ExprOp>(r.u8());
     auto node = std::make_unique<Expr>();
@@ -92,14 +96,21 @@ EntityRef read_ref(snap::SectionReader& r, std::size_t entity_count,
   return ref;
 }
 
+/// A section writer over a buffer reserved for a typical section, so
+/// writing one costs a single allocation rather than a doubling series.
+snap::SectionWriter section_writer() {
+  std::vector<std::uint8_t> buf;
+  buf.reserve(1024);
+  return snap::SectionWriter(sim::Time::zero(), std::move(buf));
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode(const Scenario& s) {
-  const sim::Time t0 = sim::Time::zero();
   snap::SnapWriter out;
 
   {
-    snap::SectionWriter w(t0);
+    snap::SectionWriter w = section_writer();
     w.str(s.name);
     w.f64(s.topo_w);
     w.f64(s.topo_h);
@@ -109,7 +120,7 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
     out.add(kTagHeader, 0, w.take());
   }
   {
-    snap::SectionWriter w(t0);
+    snap::SectionWriter w = section_writer();
     w.u64(s.entities.size());
     for (const EntityDecl& e : s.entities) {
       w.str(e.name);
@@ -123,7 +134,7 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
     out.add(kTagEntities, 0, w.take());
   }
   {
-    snap::SectionWriter w(t0);
+    snap::SectionWriter w = section_writer();
     w.u64(s.registrars.size());
     for (const RegistrarDecl& r : s.registrars) {
       w.u32(static_cast<std::uint32_t>(r.on.index));
@@ -148,7 +159,7 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
     out.add(kTagBuild, 0, w.take());
   }
   {
-    snap::SectionWriter w(t0);
+    snap::SectionWriter w = section_writer();
     w.u64(s.traffic.size());
     for (const TrafficDecl& t : s.traffic) {
       w.u8(static_cast<std::uint8_t>(t.kind));
@@ -165,7 +176,7 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
     out.add(kTagTraffic, 0, w.take());
   }
   {
-    snap::SectionWriter w(t0);
+    snap::SectionWriter w = section_writer();
     write_expr(*s.phases.settle, w);
     write_expr(*s.phases.meeting, w);
     write_expr(*s.phases.horizon, w);
@@ -173,7 +184,7 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
     out.add(kTagPhases, 0, w.take());
   }
   if ((s.pass_mask & kPassStrategy) != 0) {
-    snap::SectionWriter w(t0);
+    snap::SectionWriter w = section_writer();
     w.b(s.strategy.kernel_trains);
     w.u32(s.strategy.class_modulus);
     w.u64(s.strategy.class_cost.size());
@@ -187,15 +198,17 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
 Scenario decode(std::span<const std::uint8_t> blob) {
   // Container-level structure (magic, version, CRC, truncation) reuses
   // snap's reader; its failures surface as ScnError.
-  std::unique_ptr<snap::SnapReader> reader;
+  std::optional<snap::SnapReader> reader;
   try {
-    reader = std::make_unique<snap::SnapReader>(blob, kScnMagic, kScnVersion);
+    reader.emplace(blob, kScnMagic, kScnVersion);
   } catch (const snap::SnapError& e) {
     throw ScnError(std::string("scenario blob rejected: ") + e.what());
   }
 
   const sim::Time t0 = sim::Time::zero();
   Scenario s;
+  ExprStack stack;
+  stack.reserve(16);
   const snap::Section* sections[5] = {};
   constexpr std::uint32_t required[5] = {kTagHeader, kTagEntities, kTagBuild,
                                          kTagTraffic, kTagPhases};
@@ -245,10 +258,10 @@ Scenario decode(std::span<const std::uint8_t> blob) {
         e.name = r.str();
         e.profile = r.str();
         e.is_group = r.b();
-        e.count = read_expr(r);
-        e.pos_x = read_expr(r);
-        e.pos_y = read_expr(r);
-        e.channel = read_expr(r);
+        e.count = read_expr(r, stack);
+        e.pos_x = read_expr(r, stack);
+        e.pos_y = read_expr(r, stack);
+        e.channel = read_expr(r, stack);
         s.entities.push_back(std::move(e));
       }
       r.expect_end();
@@ -267,9 +280,9 @@ Scenario decode(std::span<const std::uint8_t> blob) {
       for (std::uint64_t k = 0; k < ndisp; ++k) {
         DisplayDecl d;
         d.on = read_ref(r, s.entities.size(), s);
-        d.width = read_expr(r);
-        d.height = read_expr(r);
-        d.deck_seed = read_expr(r);
+        d.width = read_expr(r, stack);
+        d.height = read_expr(r, stack);
+        d.deck_seed = read_expr(r, stack);
         s.displays.push_back(std::move(d));
       }
       const std::uint64_t ngoal = r.u64();
@@ -298,11 +311,11 @@ Scenario decode(std::span<const std::uint8_t> blob) {
         t.from = read_ref(r, s.entities.size(), s);
         if (t.kind == TrafficKind::kPing) {
           t.to = read_ref(r, s.entities.size(), s);
-          t.period = read_expr(r);
-          t.payload = read_expr(r);
+          t.period = read_expr(r, stack);
+          t.payload = read_expr(r, stack);
           t.train_lowered = r.b();
         } else {
-          t.period = read_expr(r);
+          t.period = read_expr(r, stack);
         }
         s.traffic.push_back(std::move(t));
       }
@@ -310,10 +323,10 @@ Scenario decode(std::span<const std::uint8_t> blob) {
     }
     {
       snap::SectionReader r(sections[4]->payload, t0);
-      s.phases.settle = read_expr(r);
-      s.phases.meeting = read_expr(r);
-      s.phases.horizon = read_expr(r);
-      s.phases.drain = read_expr(r);
+      s.phases.settle = read_expr(r, stack);
+      s.phases.meeting = read_expr(r, stack);
+      s.phases.horizon = read_expr(r, stack);
+      s.phases.drain = read_expr(r, stack);
       r.expect_end();
     }
     if (strategy_section != nullptr) {

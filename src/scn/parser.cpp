@@ -1,9 +1,11 @@
 #include "scn/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,23 +15,25 @@ namespace {
 
 enum class Tok { kIdent, kNumber, kPunct, kEnd };
 
+// Token text is a view into the source (or a literal for the end marker),
+// so lexing copies no strings; the source outlives the parse.
 struct Token {
   Tok kind = Tok::kEnd;
-  std::string text;     // ident text or punct character
-  double number = 0.0;  // kNumber only
+  std::string_view text;  // ident text, number spelling or punct character
+  double number = 0.0;    // kNumber only
   int line = 1, col = 1;
 };
 
 class Lexer {
  public:
-  Lexer(std::string_view src, std::string file)
-      : src_(src), file_(std::move(file)) {
+  Lexer(std::string_view src, const std::string& file)
+      : src_(src), file_(file) {
     next();
   }
 
   const Token& peek() const { return tok_; }
   Token take() {
-    Token t = tok_;
+    const Token t = tok_;
     next();
     return t;
   }
@@ -51,41 +55,47 @@ class Lexer {
       tok_.text = "<end of file>";
       return;
     }
+    const std::size_t start = pos_;
     const char c = src_[pos_];
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       tok_.kind = Tok::kIdent;
       while (pos_ < src_.size() &&
              (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
               src_[pos_] == '_')) {
-        tok_.text.push_back(src_[pos_]);
         advance();
       }
+      tok_.text = src_.substr(start, pos_ - start);
       return;
     }
     if (std::isdigit(static_cast<unsigned char>(c)) ||
         (c == '.' && pos_ + 1 < src_.size() &&
          std::isdigit(static_cast<unsigned char>(src_[pos_ + 1])))) {
       tok_.kind = Tok::kNumber;
-      std::string digits;
       while (pos_ < src_.size() &&
              (std::isdigit(static_cast<unsigned char>(src_[pos_])) ||
               src_[pos_] == '.' || src_[pos_] == 'e' || src_[pos_] == 'E' ||
-              ((src_[pos_] == '+' || src_[pos_] == '-') && !digits.empty() &&
-               (digits.back() == 'e' || digits.back() == 'E')))) {
-        digits.push_back(src_[pos_]);
+              ((src_[pos_] == '+' || src_[pos_] == '-') && pos_ > start &&
+               (src_[pos_ - 1] == 'e' || src_[pos_ - 1] == 'E')))) {
         advance();
       }
-      char* end = nullptr;
-      tok_.number = std::strtod(digits.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        fail("malformed number '" + digits + "'", tok_);
+      tok_.text = src_.substr(start, pos_ - start);
+      const char* first = tok_.text.data();
+      const char* last = first + tok_.text.size();
+      const auto [end, ec] = std::from_chars(first, last, tok_.number);
+      if (end != last || (ec != std::errc() &&
+                          ec != std::errc::result_out_of_range)) {
+        fail("malformed number '" + std::string(tok_.text) + "'", tok_);
       }
-      tok_.text = digits;
+      if (ec == std::errc::result_out_of_range) {
+        // strtod's answer: +-inf on overflow, the rounded tiny value on
+        // underflow.
+        tok_.number = std::strtod(std::string(tok_.text).c_str(), nullptr);
+      }
       return;
     }
     tok_.kind = Tok::kPunct;
-    tok_.text.push_back(c);
     advance();
+    tok_.text = src_.substr(start, 1);
   }
 
   void skip_ws() {
@@ -112,7 +122,7 @@ class Lexer {
   }
 
   std::string_view src_;
-  std::string file_;
+  const std::string& file_;
   std::size_t pos_ = 0;
   int line_ = 1, col_ = 1;
   Token tok_;
@@ -120,7 +130,7 @@ class Lexer {
 
 class Parser {
  public:
-  Parser(std::string_view src, std::string file) : lex_(src, std::move(file)) {}
+  Parser(std::string_view src, const std::string& file) : lex_(src, file) {}
 
   Scenario run() {
     Scenario s;
@@ -141,7 +151,9 @@ class Parser {
   void item(Scenario& s) {
     const Token head = lex_.peek();
     if (head.kind != Tok::kIdent) {
-      lex_.fail("expected a scenario item, got '" + head.text + "'", head);
+      lex_.fail("expected a scenario item, got '" + std::string(head.text) +
+                    "'",
+                head);
     }
     if (head.text == "topology") {
       lex_.take();
@@ -205,7 +217,7 @@ class Parser {
       if (kind.kind != Tok::kIdent ||
           (kind.text != "present" && kind.text != "discover")) {
         lex_.fail("expected goal kind 'present' or 'discover', got '" +
-                      kind.text + "'",
+                      std::string(kind.text) + "'",
                   kind);
       }
       g.kind = kind.text == "present" ? GoalKind::kPresent : GoalKind::kDiscover;
@@ -240,7 +252,7 @@ class Parser {
         t.period = expr();
       } else {
         lex_.fail("expected traffic kind 'ping' or 'slides', got '" +
-                      kind.text + "'",
+                      std::string(kind.text) + "'",
                   kind);
       }
       s.traffic.push_back(std::move(t));
@@ -252,8 +264,8 @@ class Parser {
       } else if (which.kind == Tok::kIdent && which.text == "meeting") {
         s.phases.meeting = expr();
       } else {
-        lex_.fail("expected phase 'settle' or 'meeting', got '" + which.text +
-                      "'",
+        lex_.fail("expected phase 'settle' or 'meeting', got '" +
+                      std::string(which.text) + "'",
                   which);
       }
     } else if (head.text == "horizon") {
@@ -263,7 +275,8 @@ class Parser {
       lex_.take();
       s.phases.drain = expr();
     } else {
-      lex_.fail("unknown scenario item '" + head.text + "'", head);
+      lex_.fail("unknown scenario item '" + std::string(head.text) + "'",
+                head);
     }
     expect_punct(";");
   }
@@ -341,7 +354,7 @@ class Parser {
       return e;
     }
     lex_.fail("expected a number, 'shard', 'i', '(' or unary '-', got '" +
-                  t.text + "'",
+                  std::string(t.text) + "'",
               t);
   }
 
@@ -353,32 +366,32 @@ class Parser {
   }
   void expect_punct(const char* p) {
     if (!at_punct(p)) {
-      lex_.fail("expected '" + std::string(p) + "', got '" + lex_.peek().text +
-                    "'",
+      lex_.fail("expected '" + std::string(p) + "', got '" +
+                    std::string(lex_.peek().text) + "'",
                 lex_.peek());
     }
     lex_.take();
   }
   void expect_ident(const char* id) {
     if (!at_ident(id)) {
-      lex_.fail("expected '" + std::string(id) + "', got '" + lex_.peek().text +
-                    "'",
+      lex_.fail("expected '" + std::string(id) + "', got '" +
+                    std::string(lex_.peek().text) + "'",
                 lex_.peek());
     }
     lex_.take();
   }
   std::string take_ident(const char* what) {
     if (lex_.peek().kind != Tok::kIdent) {
-      lex_.fail("expected " + std::string(what) + ", got '" + lex_.peek().text +
-                    "'",
+      lex_.fail("expected " + std::string(what) + ", got '" +
+                    std::string(lex_.peek().text) + "'",
                 lex_.peek());
     }
-    return lex_.take().text;
+    return std::string(lex_.take().text);
   }
   double take_number(const char* what) {
     if (lex_.peek().kind != Tok::kNumber) {
-      lex_.fail("expected " + std::string(what) + ", got '" + lex_.peek().text +
-                    "'",
+      lex_.fail("expected " + std::string(what) + ", got '" +
+                    std::string(lex_.peek().text) + "'",
                 lex_.peek());
     }
     return lex_.take().number;

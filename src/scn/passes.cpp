@@ -298,9 +298,23 @@ void for_each_expr(const Scenario& s,
   fn(*s.phases.drain);
 }
 
+/// The cost model's per-event weights (ns) the estimate prices, looked up
+/// once per strategy pass instead of once per member and class.
+struct Weights {
+  explicit Weights(const CostModel& cost)
+      : timer(cost.weight("timer")),
+        mac(cost.weight("mac")),
+        radio(cost.weight("radio")),
+        stream(cost.weight("stream")),
+        discovery(cost.weight("discovery")),
+        rfb(cost.weight("rfb")),
+        app(cost.weight("app")) {}
+  double timer, mac, radio, stream, discovery, rfb, app;
+};
+
 /// Estimated event cost (ns) of one shard of class `c`: infrastructure
 /// setup plus every traffic generator's tick stream priced by category.
-double estimate_class_cost(const Scenario& s, const CostModel& cost,
+double estimate_class_cost(const Scenario& s, const Weights& w,
                            std::uint64_t c) {
   const EvalContext shard_ctx{c, 0};
   const double meeting = eval(*s.phases.meeting, shard_ctx);
@@ -308,13 +322,12 @@ double estimate_class_cost(const Scenario& s, const CostModel& cost,
   const double window = std::max(0.0, horizon - meeting);
 
   // Setup: discovery exchanges plus per-device MAC warmup.
-  double total = 400.0 * cost.weight("discovery");
+  double total = 400.0 * w.discovery;
   for (const EntityDecl& e : s.entities) {
-    total += eval(*e.count, shard_ctx) * 80.0 * cost.weight("mac");
+    total += eval(*e.count, shard_ctx) * 80.0 * w.mac;
   }
   for (const GoalDecl& g : s.goals) {
-    total += (g.kind == GoalKind::kPresent ? 2000.0 : 400.0) *
-             cost.weight("app");
+    total += (g.kind == GoalKind::kPresent ? 2000.0 : 400.0) * w.app;
   }
 
   for (const TrafficDecl& t : s.traffic) {
@@ -328,15 +341,13 @@ double estimate_class_cost(const Scenario& s, const CostModel& cost,
         if (period <= 0) continue;
         const double ticks = window / period;
         // One timer tick, a MAC contention round, one radio delivery.
-        total += ticks * (cost.weight("timer") + 3.0 * cost.weight("mac") +
-                          cost.weight("radio"));
+        total += ticks * (w.timer + 3.0 * w.mac + w.radio);
       }
     } else {
       const double period = eval(*t.period, shard_ctx);
       if (period <= 0) continue;
       const double ticks = window / period;
-      total += ticks * (cost.weight("timer") + cost.weight("rfb") +
-                        cost.weight("stream"));
+      total += ticks * (w.timer + w.rfb + w.stream);
     }
   }
   return total;
@@ -349,8 +360,9 @@ void strategy(Scenario& s, const CostModel& cost) {
   s.strategy.kernel_trains = s.trains_lowered > 0;
   s.strategy.class_cost.clear();
   s.strategy.class_cost.reserve(modulus);
+  const Weights weights(cost);
   for (std::uint32_t c = 0; c < modulus; ++c) {
-    s.strategy.class_cost.push_back(estimate_class_cost(s, cost, c));
+    s.strategy.class_cost.push_back(estimate_class_cost(s, weights, c));
   }
   s.pass_mask |= kPassStrategy;
 }

@@ -287,29 +287,34 @@ void ScenarioInstance::run() {
   world_->sim().run_until(horizon + drain);
 }
 
-std::uint64_t ScenarioInstance::fingerprint() const {
+sim::RoomOutcome ScenarioInstance::room_outcome() const {
   const env::MediumStats& m = env_->medium().stats();
-  std::uint64_t fp = sim::mix_hash(seed_, world_->sim().executed());
-  fp = sim::mix_hash(fp, m.transmissions);
-  fp = sim::mix_hash(fp, m.deliveries_attempted);
-  fp = sim::mix_hash(fp, m.deliveries_decodable);
-  fp = sim::mix_hash(fp, m.losses_sinr);
-  fp = sim::mix_hash(fp, m.losses_half_duplex);
-  fp = sim::mix_hash(fp, pings_);
-  std::uint64_t registered = 0;
-  for (const auto& r : registrars_) registered += r->registered_count();
-  fp = sim::mix_hash(fp, registered);
-  fp = sim::mix_hash(fp, first_outcome_.success ? 1 : 0);
-  fp = sim::mix_hash(fp, first_outcome_.steps_completed);
-  fp = sim::mix_hash(fp, first_outcome_.errors);
-  std::uint64_t updates = 0;
+  sim::RoomOutcome o;
+  o.transmissions = m.transmissions;
+  o.deliveries_attempted = m.deliveries_attempted;
+  o.deliveries_decodable = m.deliveries_decodable;
+  o.losses_sinr = m.losses_sinr;
+  o.losses_half_duplex = m.losses_half_duplex;
+  o.pings = pings_;
+  for (const auto& r : registrars_) o.registered += r->registered_count();
+  o.success = first_outcome_.success;
+  o.steps_completed = first_outcome_.steps_completed;
+  o.errors = first_outcome_.errors;
   for (const ProjectorRuntime& p : projectors_) {
     if (p.projector->viewer() != nullptr) {
-      updates += p.projector->viewer()->stats().updates_received;
+      o.viewer_updates += p.projector->viewer()->stats().updates_received;
     }
   }
-  fp = sim::mix_hash(fp, updates);
-  return fp;
+  return o;
+}
+
+std::uint64_t ScenarioInstance::fingerprint() const {
+  return sim::room_fingerprint(seed_, world_->sim().executed(),
+                               room_outcome());
+}
+
+std::uint64_t ScenarioInstance::outcome_fingerprint() const {
+  return sim::room_outcome_fingerprint(seed_, room_outcome());
 }
 
 std::uint64_t ScenarioInstance::events() const {

@@ -29,8 +29,8 @@
 //   8. Traffic stops in REVERSE declaration order (run_room: slides, then
 //      pingers), then the drain tail runs to horizon + drain.
 //
-// fingerprint() computes the identical mix_hash chain as run_room /
-// snap::Room::fingerprint, so compiled-vs-handwritten equality is
+// fingerprint() is sim::room_fingerprint, the digest run_room and
+// snap::Room::fingerprint also fold, so compiled-vs-handwritten equality is
 // bit-testable at the fleet level.
 #pragma once
 
@@ -45,6 +45,7 @@
 #include "phys/device.hpp"
 #include "rfb/workload.hpp"
 #include "scn/ast.hpp"
+#include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "user/agent.hpp"
 
@@ -70,6 +71,8 @@ class ScenarioInstance {
   /// run_room's behavioral digest: seed, executed events, medium stats,
   /// pings, registrations, the first goal's outcome, viewer updates.
   std::uint64_t fingerprint() const;
+  /// The same digest without the executed event count.
+  std::uint64_t outcome_fingerprint() const;
 
   std::uint64_t events() const;
   std::uint64_t absorbed() const;
@@ -98,6 +101,7 @@ class ScenarioInstance {
     sim::EventHandle train_next;  // pre-scheduling generator (trains only)
   };
 
+  sim::RoomOutcome room_outcome() const;
   void build_devices();
   void bind_ping_sinks();
   void build_services();

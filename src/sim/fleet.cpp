@@ -29,6 +29,35 @@ std::uint64_t fleet_fingerprint(const std::vector<std::uint64_t>& shard_fps) {
 
 namespace {
 
+std::uint64_t fold_outcome(std::uint64_t fp, const RoomOutcome& o) {
+  fp = mix_hash(fp, o.transmissions);
+  fp = mix_hash(fp, o.deliveries_attempted);
+  fp = mix_hash(fp, o.deliveries_decodable);
+  fp = mix_hash(fp, o.losses_sinr);
+  fp = mix_hash(fp, o.losses_half_duplex);
+  fp = mix_hash(fp, o.pings);
+  fp = mix_hash(fp, o.registered);
+  fp = mix_hash(fp, o.success ? 1 : 0);
+  fp = mix_hash(fp, o.steps_completed);
+  fp = mix_hash(fp, o.errors);
+  fp = mix_hash(fp, o.viewer_updates);
+  return fp;
+}
+
+}  // namespace
+
+std::uint64_t room_fingerprint(std::uint64_t seed, std::uint64_t executed,
+                               const RoomOutcome& outcome) {
+  return fold_outcome(mix_hash(seed, executed), outcome);
+}
+
+std::uint64_t room_outcome_fingerprint(std::uint64_t seed,
+                                       const RoomOutcome& outcome) {
+  return fold_outcome(seed, outcome);
+}
+
+namespace {
+
 /// One worker's deque. Owner pops from the front; thieves take the back
 /// half. A plain mutex per deque keeps the invariants obvious (and TSan
 /// quiet); the lock is touched once per task, which is noise next to a

@@ -43,6 +43,34 @@ std::uint64_t shard_seed(std::uint64_t seed, std::uint64_t shard_id);
 /// is shard order, never completion order.
 std::uint64_t fleet_fingerprint(const std::vector<std::uint64_t>& shard_fps);
 
+/// What a full-stack room did, as its fingerprint folds it: the medium's
+/// counters, pings, registrations, the first goal's outcome and the
+/// viewer's updates. snap::Room, scn::ScenarioInstance and fleet_bench's
+/// run_room all fill it, so the three rooms share one digest definition.
+struct RoomOutcome {
+  std::uint64_t transmissions = 0;
+  std::uint64_t deliveries_attempted = 0;
+  std::uint64_t deliveries_decodable = 0;
+  std::uint64_t losses_sinr = 0;
+  std::uint64_t losses_half_duplex = 0;
+  std::uint64_t pings = 0;
+  std::uint64_t registered = 0;
+  bool success = false;
+  std::uint64_t steps_completed = 0;
+  std::uint64_t errors = 0;
+  std::uint64_t viewer_updates = 0;
+};
+
+/// A room's behavioural digest: the seed, the executed event count, then
+/// every RoomOutcome field in declaration order.
+std::uint64_t room_fingerprint(std::uint64_t seed, std::uint64_t executed,
+                               const RoomOutcome& outcome);
+
+/// The same fold without the event count: it moves only when what the
+/// room did moves, not when the kernel runs fewer events to do it.
+std::uint64_t room_outcome_fingerprint(std::uint64_t seed,
+                                       const RoomOutcome& outcome);
+
 /// Work-stealing execution of a fixed batch of indexed tasks.
 ///
 /// run() distributes indices [0, count) round-robin over per-worker deques

@@ -255,7 +255,10 @@ class SnapWriter {
   /// without pretending to be checkpoints.
   std::vector<std::uint8_t> finish(const char (&magic)[8],
                                    std::uint32_t version) const {
+    std::size_t total = 16;  // magic, version, section count
+    for (const Section& s : sections_) total += 20 + s.payload.size();
     std::vector<std::uint8_t> out;
+    out.reserve(total);
     out.insert(out.end(), magic, magic + 8);
     put32(out, version);
     put32(out, static_cast<std::uint32_t>(sections_.size()));

@@ -492,21 +492,21 @@ void Room::restore(std::span<const std::uint8_t> blob, sim::Time gap) {
 
 std::uint64_t Room::fingerprint() const {
   const env::MediumStats& m = env_->medium().stats();
-  std::uint64_t fp = sim::mix_hash(seed_, world_->sim().executed());
-  fp = sim::mix_hash(fp, m.transmissions);
-  fp = sim::mix_hash(fp, m.deliveries_attempted);
-  fp = sim::mix_hash(fp, m.deliveries_decodable);
-  fp = sim::mix_hash(fp, m.losses_sinr);
-  fp = sim::mix_hash(fp, m.losses_half_duplex);
-  fp = sim::mix_hash(fp, pings_);
-  fp = sim::mix_hash(fp, registrar_->registered_count());
-  fp = sim::mix_hash(fp, outcome_.success ? 1 : 0);
-  fp = sim::mix_hash(fp, outcome_.steps_completed);
-  fp = sim::mix_hash(fp, outcome_.errors);
-  fp = sim::mix_hash(
-      fp, projector_->viewer() ? projector_->viewer()->stats().updates_received
-                               : 0);
-  return fp;
+  sim::RoomOutcome o;
+  o.transmissions = m.transmissions;
+  o.deliveries_attempted = m.deliveries_attempted;
+  o.deliveries_decodable = m.deliveries_decodable;
+  o.losses_sinr = m.losses_sinr;
+  o.losses_half_duplex = m.losses_half_duplex;
+  o.pings = pings_;
+  o.registered = registrar_->registered_count();
+  o.success = outcome_.success;
+  o.steps_completed = outcome_.steps_completed;
+  o.errors = outcome_.errors;
+  o.viewer_updates = projector_->viewer()
+                         ? projector_->viewer()->stats().updates_received
+                         : 0;
+  return sim::room_fingerprint(seed_, world_->sim().executed(), o);
 }
 
 }  // namespace aroma::snap

@@ -127,9 +127,10 @@ class Room {
   /// the room must be considered poisoned after a failed restore.
   void restore(std::span<const std::uint8_t> blob, sim::Time gap);
 
-  /// The run's behavioral digest — the identical mix_hash chain
-  /// bench/fleet_bench.cpp computes, so fleet-level fingerprints from
-  /// checkpointed rooms compare directly against uninterrupted ones.
+  /// The run's behavioral digest (sim::room_fingerprint, the fold
+  /// bench/fleet_bench.cpp's run_room also uses), so fleet-level
+  /// fingerprints from checkpointed rooms compare directly against
+  /// uninterrupted ones.
   std::uint64_t fingerprint() const;
 
   /// Restores performed on this room (diagnostics).

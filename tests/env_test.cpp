@@ -263,6 +263,38 @@ TEST(RadioMedium, CarrierBusyDuringTransmission) {
   EXPECT_FALSE(medium.carrier_busy(sensor));
 }
 
+TEST(RadioMedium, CarrierBusyUntilIsTheEarliestCountedEnd) {
+  for (const bool batch : {true, false}) {
+    sim::World w(1);
+    RadioMedium::Options opt;
+    opt.batch = batch;
+    RadioMedium medium(w, flat_model(), opt);
+    TestRadio a(1, {0, 0}), b(2, {5, 0}), sensor(3, {0, 5});
+    medium.attach(&a);
+    medium.attach(&b);
+    medium.attach(&sensor);
+    const auto until = [&](const TestRadio& r) {
+      return medium.carrier_busy_until(r, r.cfg_, r.position());
+    };
+    EXPECT_EQ(until(sensor), w.now());  // clear: now
+    medium.transmit(a, 2'000'000, 2e6, 15.0, nullptr);  // 0 .. 1 s
+    // Starting this instant: not sensed yet.
+    EXPECT_EQ(until(sensor), w.now());
+    w.sim().run_until(sim::Time::ms(100));
+    EXPECT_EQ(until(sensor), sim::Time::sec(1));
+    medium.transmit(b, 1'000'000, 2e6, 15.0, nullptr);  // 0.1 .. 0.6 s
+    w.sim().run_until(sim::Time::ms(200));
+    EXPECT_EQ(until(sensor), sim::Time::ms(600));
+    EXPECT_EQ(until(sensor), sim::Time::ms(600));  // cached answer
+    // A sender does not sense its own frame.
+    EXPECT_EQ(until(b), sim::Time::sec(1));
+    w.sim().run_until(sim::Time::ms(700));
+    EXPECT_EQ(until(sensor), sim::Time::sec(1));
+    w.sim().run_until(sim::Time::sec(1));
+    EXPECT_EQ(until(sensor), w.now());  // ends this instant: clear
+  }
+}
+
 TEST(RadioMedium, DetachStopsDelivery) {
   sim::World w(1);
   RadioMedium medium(w, flat_model());
@@ -321,6 +353,11 @@ TEST(RadioMedium, SpatialIndexMatchesExhaustiveScanBitForBit) {
                             cca_trace.push_back(std::bit_cast<std::uint64_t>(e));
                             cca_trace.push_back(
                                 medium.carrier_busy(r) ? 1u : 0u);
+                            cca_trace.push_back(static_cast<std::uint64_t>(
+                                medium
+                                    .carrier_busy_until(r, r.cfg_,
+                                                        r.position())
+                                    .count()));
                           });
     }
     w.sim().run();
@@ -380,6 +417,8 @@ std::vector<std::uint64_t> run_traffic_scenario(RadioMedium::Options opt) {
         medium.energy_at(r.position(), r.cfg_.channel, r.cfg_.id);
     cca_trace.push_back(std::bit_cast<std::uint64_t>(e));
     cca_trace.push_back(medium.carrier_busy(r) ? 1u : 0u);
+    cca_trace.push_back(static_cast<std::uint64_t>(
+        medium.carrier_busy_until(r, r.cfg_, r.position()).count()));
   };
   for (int k = 0; k < 50; ++k) {
     const auto who = static_cast<std::size_t>(rng.uniform_int(0, 23));

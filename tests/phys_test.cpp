@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "env/environment.hpp"
 #include "phys/battery.hpp"
@@ -22,16 +23,22 @@ env::PathLossModel flat_model() {
   return env::PathLossModel(p);
 }
 
+Transceiver::Params radio_params(std::uint64_t id,
+                                 double sensitivity_dbm = -90.0) {
+  Transceiver::Params tp;
+  tp.config.id = id;
+  tp.config.channel = 6;
+  tp.config.sensitivity_dbm = sensitivity_dbm;
+  return tp;
+}
+
 struct Link {
-  Link(sim::World& w, env::RadioMedium& medium, std::uint64_t id, env::Vec2 pos)
+  // A sensitivity above the CCA threshold (-85 dBm) makes a station sense
+  // frames it never receives, so no frame-end resync cuts its deferral.
+  Link(sim::World& w, env::RadioMedium& medium, std::uint64_t id,
+       env::Vec2 pos, double sensitivity_dbm = -90.0)
       : mobility(pos),
-        radio(w, medium, &mobility,
-              [&] {
-                Transceiver::Params tp;
-                tp.config.id = id;
-                tp.config.channel = 6;
-                return tp;
-              }()),
+        radio(w, medium, &mobility, radio_params(id, sensitivity_dbm)),
         mac(w, radio, sim::Rng(id * 101)) {}
 
   env::StaticMobility mobility;
@@ -276,6 +283,204 @@ TEST(CsmaMac, QueueOverflowRejects) {
   EXPECT_GE(a.mac.stats().drops_queue_full, 9u);
   w.sim().run();
   EXPECT_GE(failures, static_cast<int>(a.mac.params().queue_limit));
+}
+
+// --- CSMA deferral -------------------------------------------------------
+//
+// A deferring station wakes at the first slot boundary (counted from when
+// it started deferring) at or after the carrier's busy horizon. The
+// expected instants below are worked out by hand from the per-slot rule:
+// re-sense every 20 µs until the medium is clear, then DIFS (50 µs), then
+// backoff_draw + 1 slots, then transmit.
+
+constexpr sim::Time kSlot = sim::Time::us(20);
+constexpr sim::Time kDifs = sim::Time::us(50);
+const sim::Time kDataAir = sim::Time::sec((272.0 + 800.0) / 2e6);
+
+// The first backoff draw of a Link's MAC (its RNG serves nothing else).
+std::int64_t first_draw(std::uint64_t id) {
+  return sim::Rng(id * 101).uniform_int(0, 15);
+}
+
+sim::Time tx_start_after_difs_from(sim::Time difs_start, std::int64_t draw) {
+  return difs_start + kDifs + kSlot * (draw + 1);
+}
+
+// A bare radio putting one long frame on the air.
+struct Jammer {
+  Jammer(sim::World& w, env::RadioMedium& medium, std::uint64_t id,
+         env::Vec2 pos)
+      : mobility(pos), radio(w, medium, &mobility, radio_params(id)) {}
+  sim::Time send(std::size_t bits) { return radio.transmit(bits, nullptr); }
+  env::StaticMobility mobility;
+  Transceiver radio;
+};
+
+TEST(CsmaDeferral, LongForeignFrameCostsNoEventsWhileOnAir) {
+  sim::World w(1);
+  env::RadioMedium medium(w, flat_model());
+  Link a(w, medium, 1, {0, 0}, -60.0);  // senses the jammer, never hears it
+  Link b(w, medium, 2, {5, 0});
+  Jammer j(w, medium, 9, {40, 0});      // about -73 dBm at a
+  sim::Time rx_end;
+  b.mac.set_receive_handler(
+      [&](MacAddress, const MacPayload&, std::size_t) { rx_end = w.now(); });
+  const sim::Time frame_end = j.send(20'000);  // 10 ms
+  w.sim().run_until(sim::Time::us(7));
+  bool ok = false;
+  a.mac.send(2, 800, nullptr, [&](bool d) { ok = d; });
+  const std::uint64_t before = w.sim().executed();
+  w.sim().run_until(frame_end - sim::Time::ns(1));
+  // Per-slot sensing would have fired ~500 times by now.
+  EXPECT_EQ(w.sim().executed() - before, 0u);
+  EXPECT_LE(w.sim().pending(), 2u);  // the wake and the frame's end
+  w.sim().run();
+  EXPECT_TRUE(ok);
+  // Boundaries 7 µs + k * 20 µs: the first at or after 10 ms is 10.007 ms.
+  EXPECT_EQ(rx_end,
+            tx_start_after_difs_from(sim::Time::us(10'007), first_draw(1)) +
+                kDataAir);
+}
+
+TEST(CsmaDeferral, OverlappingFramesWakeAtTheEarliestEnd) {
+  sim::World w(1);
+  env::RadioMedium medium(w, flat_model());
+  Link a(w, medium, 1, {0, 0}, -60.0);
+  Link b(w, medium, 2, {5, 0});
+  // Each jammer alone is under a's CCA threshold (about -86.9 dBm at
+  // 116 m); together they are over it (about -83.9 dBm).
+  Jammer j1(w, medium, 8, {116, 0});
+  Jammer j2(w, medium, 9, {-116, 0});
+  sim::Time rx_end;
+  b.mac.set_receive_handler(
+      [&](MacAddress, const MacPayload&, std::size_t) { rx_end = w.now(); });
+  j1.send(6'000);  // 0 .. 3 ms
+  w.sim().run_until(sim::Time::ms(1));
+  const sim::Time j2_end = w.now() + j2.send(10'000);  // 1 .. 6 ms
+  w.sim().run_until(sim::Time::us(1'007));
+  a.mac.send(2, 800, nullptr);
+  const std::uint64_t before = w.sim().executed();
+  w.sim().run_until(sim::Time::ms(3) - sim::Time::ns(1));
+  EXPECT_EQ(w.sim().executed() - before, 0u);
+  w.sim().run();
+  // The sum clears when j1 ends at 3 ms: the first boundary is 3.007 ms,
+  // and a transmits while j2 is still on the air.
+  const sim::Time tx_start =
+      tx_start_after_difs_from(sim::Time::us(3'007), first_draw(1));
+  EXPECT_EQ(rx_end, tx_start + kDataAir);
+  EXPECT_LT(tx_start, j2_end);
+}
+
+TEST(CsmaDeferral, OwnAckOnAirDefersToTheNextBoundary) {
+  sim::World w(1);
+  env::RadioMedium medium(w, flat_model());
+  Link a(w, medium, 1, {0, 0});
+  Link b(w, medium, 2, {5, 0});
+  Link c(w, medium, 3, {0, 5});
+  sim::Time c_end;  // end of c's frame to a
+  a.mac.set_receive_handler(
+      [&](MacAddress, const MacPayload&, std::size_t) { c_end = w.now(); });
+  sim::Time rx_end;
+  b.mac.set_receive_handler(
+      [&](MacAddress, const MacPayload&, std::size_t) { rx_end = w.now(); });
+  c.mac.send(1, 800, nullptr);
+  // c transmits at DIFS + (draw + 1) slots; a queues a frame mid-air.
+  const sim::Time c_start = tx_start_after_difs_from({}, first_draw(3));
+  w.sim().run_until(c_start + sim::Time::us(100));
+  ASSERT_TRUE(a.radio.carrier_busy_until() > w.now());
+  a.mac.send(2, 800, nullptr);
+  w.sim().run();
+  ASSERT_EQ(c_end, c_start + kDataAir);
+  // The frame end resyncs a into DIFS; a's ACK goes out at +10 µs and is
+  // on the air until +66 µs, so DIFS ends busy at +50 µs and a wakes at
+  // the first boundary after its own ACK: +70 µs, then a full DIFS.
+  EXPECT_EQ(rx_end, tx_start_after_difs_from(c_end + sim::Time::us(70),
+                                             first_draw(1)) +
+                        kDataAir);
+  EXPECT_EQ(a.mac.stats().sent_acks, 1u);
+}
+
+TEST(CsmaDeferral, MovingRadioSensesEverySlot) {
+  sim::World w(1);
+  env::RadioMedium medium(w, flat_model());
+  // a recedes from the jammer at 1 km/s: from 90 m at t = 0 it crosses
+  // 100 m, where the jammer falls under -85 dBm, at 10 ms, while the
+  // jammer's frame runs to 20 ms.
+  env::LinearMobility path({-50, 0}, {-1000, 0});
+  Transceiver radio(w, medium, &path, radio_params(1, -60.0));
+  CsmaMac mac(w, radio, sim::Rng(101));
+  Jammer j(w, medium, 9, {40, 0});
+  Transceiver listener(w, medium, nullptr, radio_params(5));
+  sim::Time tx_start;
+  listener.set_receive_handler([&](const env::FrameDelivery& d) {
+    if (d.sender_radio == 1 && tx_start == sim::Time{}) tx_start = d.start;
+  });
+  j.send(40'000);
+  w.sim().run_until(sim::Time::us(7));
+  mac.send(99, 800, nullptr);
+  const std::uint64_t before = w.sim().executed();
+  w.sim().run_until(sim::Time::ms(10) - sim::Time::ns(1));
+  EXPECT_GE(w.sim().executed() - before, 490u);  // one wake per slot
+  w.sim().run_until(sim::Time::ms(30));
+  // 9.987 ms senses the jammer, 10.007 ms finds the medium clear.
+  EXPECT_EQ(tx_start,
+            tx_start_after_difs_from(sim::Time::us(10'007), first_draw(1)));
+}
+
+TEST(CsmaDeferral, ChannelHopWakesAtTheNextBoundary) {
+  sim::World w(1);
+  env::RadioMedium medium(w, flat_model());
+  Link a(w, medium, 1, {0, 0}, -60.0);
+  Jammer j(w, medium, 9, {40, 0});
+  Transceiver::Params lp = radio_params(5);
+  lp.config.channel = 11;
+  env::StaticMobility lpos({5, 0});
+  Transceiver listener(w, medium, &lpos, lp);
+  sim::Time tx_start;
+  listener.set_receive_handler([&](const env::FrameDelivery& d) {
+    if (d.sender_radio == 1 && tx_start == sim::Time{}) tx_start = d.start;
+  });
+  j.send(20'000);  // 0 .. 10 ms on channel 6
+  w.sim().run_until(sim::Time::us(7));
+  a.mac.send(99, 800, nullptr);
+  w.sim().run_until(sim::Time::us(2'000));
+  a.radio.set_channel(11);  // channel 11 is clear
+  w.sim().run_until(sim::Time::ms(30));
+  // Boundaries 7 µs + k * 20 µs: 1.987 ms sensed channel 6, 2.007 ms
+  // senses channel 11.
+  EXPECT_EQ(tx_start,
+            tx_start_after_difs_from(sim::Time::us(2'007), first_draw(1)));
+}
+
+TEST(CsmaDeferral, DrainedBurstLeavesNoPendingMacEvent) {
+  sim::World w(5);
+  env::RadioMedium medium(w, flat_model());
+  Link a(w, medium, 1, {0, 0});
+  Link b(w, medium, 2, {4, 0});
+  Link c(w, medium, 3, {0, 4});
+  Link* links[] = {&a, &b, &c};
+  int outstanding = 0;
+  for (int i = 0; i < 8; ++i) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      ++outstanding;
+      links[k]->mac.send(links[(k + 1) % 3]->mac.address(), 1'000, nullptr,
+                         [&](bool) { --outstanding; });
+    }
+  }
+  // Step to the instant the last exchange completes.
+  while (outstanding > 0 && w.sim().step()) {
+  }
+  ASSERT_EQ(outstanding, 0);
+  std::uint64_t retries = 0;
+  for (Link* l : links) {
+    std::string why;
+    EXPECT_TRUE(l->mac.snap_quiescent(&why)) << why;
+    retries += l->mac.stats().retries;
+  }
+  EXPECT_GT(w.sim().cancelled(), 0u);  // superseded timers were cancelled
+  // The last ACK's own frame end is the step that just ran; nothing of the
+  // MAC's is left: no ACK timeout, no superseded defer wake.
+  EXPECT_EQ(w.sim().pending(), 0u) << "retries " << retries;
 }
 
 // --- PhysicalUser ------------------------------------------------------

@@ -397,4 +397,55 @@ TEST(ScnOracle, CompiledSmartProjectorMatchesHandwrittenRoom) {
   }
 }
 
+// --- outcome goldens -------------------------------------------------------
+
+// What every library scenario does, pinned: per scenario and fleet seed, the
+// outcome fingerprints (room fingerprint without the executed event count)
+// of shards 0..shards-1, folded in shard order. A change that only removes
+// kernel events — dead timers, skipped polls — must leave all of them
+// unchanged; one that changes what a room does moves them.
+TEST(ScnGolden, LibraryOutcomeFingerprints) {
+  struct Golden {
+    const char* file;
+    std::size_t shards;
+    std::uint64_t fp[3];  // seeds 1, 7, 12345
+  };
+  const Golden goldens[] = {
+      {"smart_projector.scn", 4,
+       {0xc01ef30cff835385ULL, 0xe6acaab9345a206ULL,
+        0xad3d8c534304da1aULL}},
+      {"office_tower.scn", 4,
+       {0xdf7012d09701cc57ULL, 0xd0d6059bc2a4aad8ULL,
+        0x12d25b7a73822447ULL}},
+      {"conference_hall.scn", 4,
+       {0xd2d12123bd260c66ULL, 0x447a43a031b97646ULL,
+        0x83c1aec1e73f0b64ULL}},
+      {"hospital_ward.scn", 4,
+       {0xb142d08a304ae51aULL, 0x3042e47ace294b68ULL,
+        0x7a721fdee65f8a3ULL}},
+      {"stadium.scn", 2,
+       {0xace6d2113f575667ULL, 0x48b083067b62f1e6ULL,
+        0x3b7e7cd0a86ca79cULL}},
+      {"campus_mesh.scn", 4,
+       {0x492401374959fc6fULL, 0xb43fc46639cf68d9ULL,
+        0xa7f45ddea769945eULL}},
+  };
+  const std::uint64_t seeds[] = {1, 7, 12345};
+  for (const Golden& g : goldens) {
+    const scn::Scenario s = scn::decode(scn::compile_file(
+        std::string(AROMA_SCENARIO_DIR) + "/" + g.file));
+    for (std::size_t i = 0; i < 3; ++i) {
+      std::vector<std::uint64_t> fps;
+      for (std::size_t k = 0; k < g.shards; ++k) {
+        scn::ScenarioInstance inst(s, k, sim::shard_seed(seeds[i], k));
+        inst.run();
+        fps.push_back(inst.outcome_fingerprint());
+      }
+      EXPECT_EQ(sim::fleet_fingerprint(fps), g.fp[i])
+          << g.file << " seed " << seeds[i] << std::hex << " got 0x"
+          << sim::fleet_fingerprint(fps);
+    }
+  }
+}
+
 }  // namespace
