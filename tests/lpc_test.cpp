@@ -69,6 +69,13 @@ struct ClassifierCase {
   Layer expected;
 };
 
+// Without this, gtest prints the case as raw bytes, pointer included, so the
+// listed test names (and the CTest names built from them) would change with
+// every load address.
+void PrintTo(const ClassifierCase& c, std::ostream* os) {
+  *os << to_string(c.expected);
+}
+
 class ClassifierSuite : public ::testing::TestWithParam<ClassifierCase> {};
 
 TEST_P(ClassifierSuite, AssignsExpectedLayer) {
