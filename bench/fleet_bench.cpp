@@ -56,6 +56,7 @@
 
 #include "app/projector.hpp"
 #include "bench/common.hpp"
+#include "bench/golden.hpp"
 #include "disco/jini.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/micro.hpp"
@@ -568,42 +569,42 @@ int main(int argc, char** argv) {
 
   // --- Compiled-scenario oracle: the declarative Smart Projector. ---------
   // scenarios/smart_projector.scn compiled through the scn pass pipeline
-  // and fleet-run must reproduce run_room's fleet fingerprint bit-exactly —
-  // the scenario compiler's executable artifact is interchangeable with the
-  // handwritten room.
+  // and fleet-run must reproduce the recorded Smart Projector fleet
+  // fingerprint (bench/golden.hpp) bit-exactly, at the goldens' seed.
   benchsup::Json scn_oracle = benchsup::Json::object();
   try {
+    constexpr std::size_t kOracleShards = 8;
     const std::string scn_path =
         std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
     const scn::Scenario compiled_room =
         scn::decode(scn::compile_file(scn_path, {}));
-    const scn::FleetResult compiled =
-        scn::run_fleet(compiled_room, ab_shards, seed, 1);
-    const bool scn_match = compiled.fleet_fp == arena_mode.fingerprint;
+    const scn::FleetResult compiled = scn::run_fleet(
+        compiled_room, kOracleShards, golden::kSmartProjectorSeed, 1);
+    const std::uint64_t want = *golden::smart_projector_fleet(kOracleShards);
+    const bool scn_match = compiled.fleet_fp == want;
     if (!scn_match) {
       std::fprintf(stderr,
-                   "FAIL: compiled scenario diverged from run_room "
+                   "FAIL: compiled scenario diverged from the golden "
                    "(%s vs %s)\n",
-                   hex64(compiled.fleet_fp).c_str(),
-                   hex64(arena_mode.fingerprint).c_str());
+                   hex64(compiled.fleet_fp).c_str(), hex64(want).c_str());
       ok = false;
     }
     benchsup::table_header(
-        "Compiled scenario oracle (" + std::to_string(ab_shards) + " shards)",
+        "Compiled scenario oracle (" + std::to_string(kOracleShards) +
+            " shards)",
         {"source", "events", "fingerprint", "match"});
-    benchsup::table_row(std::string("run_room"),
-                        static_cast<double>(arena_mode.events),
-                        hex64(arena_mode.fingerprint), std::string("-"));
+    benchsup::table_row(std::string("golden"), std::string("-"), hex64(want),
+                        std::string("-"));
     benchsup::table_row(std::string("compiled"),
                         static_cast<double>(compiled.events),
                         hex64(compiled.fleet_fp),
                         std::string(scn_match ? "yes" : "NO"));
     scn_oracle.set("scenario", scn_path);
-    scn_oracle.set("shards", static_cast<std::uint64_t>(ab_shards));
+    scn_oracle.set("shards", static_cast<std::uint64_t>(kOracleShards));
+    scn_oracle.set("seed", golden::kSmartProjectorSeed);
     scn_oracle.set("compiled_fingerprint", hex64(compiled.fleet_fp));
-    scn_oracle.set("run_room_fingerprint", hex64(arena_mode.fingerprint));
+    scn_oracle.set("golden_fingerprint", hex64(want));
     scn_oracle.set("events_compiled", compiled.events);
-    scn_oracle.set("events_run_room", arena_mode.events);
     scn_oracle.set("fingerprint_match", scn_match);
   } catch (const scn::ScnError& e) {
     std::fprintf(stderr, "FAIL: compiled scenario oracle: %s\n", e.what());

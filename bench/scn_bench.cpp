@@ -5,9 +5,9 @@
 // compiler promises:
 //
 //  * oracle — scenarios/smart_projector.scn compiled and fleet-run must
-//    land on the handwritten room's fleet fingerprint bit-exactly at every
-//    shard count checked (the handwritten side is snap::Room, which
-//    reproduces bench/fleet_bench.cpp's run_room),
+//    land on the recorded Smart Projector fleet fingerprint
+//    (bench/golden.hpp, seed 2026) bit-exactly at every shard count
+//    checked; --oracle-shards takes pinned counts only,
 //  * determinism — compiling the same source twice is byte-identical, and
 //    dump -> recompile converges: after one canonicalizing round, further
 //    dump/recompile rounds are byte-stable,
@@ -29,11 +29,11 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "bench/golden.hpp"
 #include "scn/blob.hpp"
 #include "scn/compiler.hpp"
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
-#include "snap/room.hpp"
 
 #ifndef AROMA_SCENARIO_DIR
 #define AROMA_SCENARIO_DIR "scenarios"
@@ -69,24 +69,6 @@ std::vector<std::size_t> parse_csv(const char* s) {
     }
   }
   return out;
-}
-
-/// The handwritten Smart Projector shard: snap::Room's warmup + finish is
-/// bench/fleet_bench.cpp's run_room, fingerprint chain included.
-std::uint64_t handwritten_room_fp(std::size_t shard_id, std::uint64_t seed) {
-  snap::Room room(shard_id, seed);
-  room.warmup();
-  room.finish();
-  return room.fingerprint();
-}
-
-std::uint64_t handwritten_fleet_fp(std::size_t shards, std::uint64_t seed) {
-  std::vector<std::uint64_t> fps;
-  fps.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    fps.push_back(handwritten_room_fp(k, sim::shard_seed(seed, k)));
-  }
-  return sim::fleet_fingerprint(fps);
 }
 
 struct TimedFleet {
@@ -148,6 +130,13 @@ int main(int argc, char** argv) {
       library_shards == 0) {
     std::fprintf(stderr, "shard/worker lists must be non-empty\n");
     return 2;
+  }
+  for (const std::size_t shards : oracle_shards) {
+    if (!golden::smart_projector_fleet(shards)) {
+      std::fprintf(stderr, "--oracle-shards: no golden for %zu shards\n",
+                   shards);
+      return 2;
+    }
   }
 
   bool ok = true;
@@ -231,9 +220,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Oracle leg: compiled smart_projector vs the handwritten room. -------
-  benchsup::table_header("Oracle: compiled vs handwritten Smart Projector",
-                         {"shards", "compiled-fp", "handwritten-fp", "match"});
+  // --- Oracle leg: compiled smart_projector vs the recorded goldens. -------
+  // Always at the goldens' seed: --seed steers the other legs only.
+  benchsup::table_header("Oracle: compiled Smart Projector vs golden",
+                         {"shards", "compiled-fp", "golden-fp", "match"});
   benchsup::Json oracle_runs = benchsup::Json::array();
   bool oracle_ok = true;
   const scn::Scenario& sp = compiled[0];
@@ -242,24 +232,25 @@ int main(int argc, char** argv) {
       oracle_ok = false;
       break;
     }
-    const TimedFleet c = timed_fleet(sp, shards, seed, 1);
-    const std::uint64_t hand = handwritten_fleet_fp(shards, seed);
-    const bool match = c.result.fleet_fp == hand;
+    const TimedFleet c =
+        timed_fleet(sp, shards, golden::kSmartProjectorSeed, 1);
+    const std::uint64_t want = *golden::smart_projector_fleet(shards);
+    const bool match = c.result.fleet_fp == want;
     if (!match) {
       std::fprintf(stderr,
                    "FAIL: oracle drift at %zu shards (%s compiled vs %s)\n",
                    shards, hex64(c.result.fleet_fp).c_str(),
-                   hex64(hand).c_str());
+                   hex64(want).c_str());
       oracle_ok = false;
       ok = false;
     }
     benchsup::table_row(static_cast<double>(shards),
-                        hex64(c.result.fleet_fp), hex64(hand),
+                        hex64(c.result.fleet_fp), hex64(want),
                         std::string(match ? "yes" : "NO"));
     benchsup::Json row = benchsup::Json::object();
     row.set("shards", static_cast<std::uint64_t>(shards));
     row.set("compiled_fingerprint", hex64(c.result.fleet_fp));
-    row.set("handwritten_fingerprint", hex64(hand));
+    row.set("golden_fingerprint", hex64(want));
     row.set("events", c.result.events);
     row.set("wall_s", c.wall_s);
     row.set("match", match);
@@ -393,6 +384,7 @@ int main(int argc, char** argv) {
   doc.set("compile", std::move(compile_rows));
   {
     benchsup::Json oracle = benchsup::Json::object();
+    oracle.set("seed", golden::kSmartProjectorSeed);
     benchsup::Json sh = benchsup::Json::array();
     for (const std::size_t s : oracle_shards) {
       sh.push(static_cast<std::uint64_t>(s));

@@ -257,28 +257,24 @@ def check_fleet(doc):
         fail('"determinism.fingerprints_identical" is not true')
 
     # The scenario-compiler oracle: the compiled smart_projector blob must
-    # reproduce run_room's arena-mode fleet fingerprint bit-exactly.
+    # reproduce the recorded Smart Projector fleet fingerprint bit-exactly.
     scn = doc.get("scn_oracle")
     if not isinstance(scn, dict):
         fail('top-level "scn_oracle" missing')
     if "error" in scn:
         fail(f'scenario-compiler oracle leg aborted: {scn["error"]!r}')
     check_keys(scn, {"scenario": str, "shards": int,
-                     "compiled_fingerprint": str,
-                     "run_room_fingerprint": str,
-                     "events_compiled": int, "events_run_room": int,
+                     "seed": int, "compiled_fingerprint": str,
+                     "golden_fingerprint": str, "events_compiled": int,
                      "fingerprint_match": bool}, '"scn_oracle"')
     check_fingerprint(scn["compiled_fingerprint"], "scn_oracle compiled")
-    check_fingerprint(scn["run_room_fingerprint"], "scn_oracle run_room")
-    if scn["compiled_fingerprint"] != scn["run_room_fingerprint"]:
-        fail("compiled smart_projector diverged from run_room "
+    check_fingerprint(scn["golden_fingerprint"], "scn_oracle golden")
+    if scn["compiled_fingerprint"] != scn["golden_fingerprint"]:
+        fail("compiled smart_projector diverged from the golden "
              f'({scn["compiled_fingerprint"]} vs '
-             f'{scn["run_room_fingerprint"]})')
+             f'{scn["golden_fingerprint"]})')
     if not scn["fingerprint_match"]:
         fail('"scn_oracle.fingerprint_match" contradicts the fingerprints')
-    if scn["events_compiled"] != scn["events_run_room"]:
-        fail(f'scn_oracle executed {scn["events_compiled"]} events vs '
-             f'run_room {scn["events_run_room"]}')
 
     # Multi-process legs (src/fleet): scale-out across worker processes,
     # 1-vs-N equivalence, live migration, kill recovery, zero-alloc
@@ -864,7 +860,7 @@ SCN_COMPILE_KEYS = {
 SCN_ORACLE_RUN_KEYS = {
     "shards": int,
     "compiled_fingerprint": str,
-    "handwritten_fingerprint": str,
+    "golden_fingerprint": str,
     "events": int,
     "wall_s": float,
     "match": bool,
@@ -920,7 +916,7 @@ def check_scn(doc):
              "not wired in")
 
     # The oracle: the compiled smart_projector scenario must reproduce the
-    # handwritten room (snap::Room warmup+finish) bit-exactly per shard.
+    # recorded Smart Projector fleet fingerprint bit-exactly per shard count.
     oracle = doc.get("oracle")
     if not isinstance(oracle, dict):
         fail('top-level "oracle" missing')
@@ -931,11 +927,11 @@ def check_scn(doc):
         what = f'oracle run shards={r.get("shards")}'
         check_keys(r, SCN_ORACLE_RUN_KEYS, what)
         check_fingerprint(r["compiled_fingerprint"], what)
-        check_fingerprint(r["handwritten_fingerprint"], what)
-        if r["compiled_fingerprint"] != r["handwritten_fingerprint"]:
-            fail(f"{what}: compiled scenario diverged from the handwritten "
-                 f'room ({r["compiled_fingerprint"]} vs '
-                 f'{r["handwritten_fingerprint"]})')
+        check_fingerprint(r["golden_fingerprint"], what)
+        if r["compiled_fingerprint"] != r["golden_fingerprint"]:
+            fail(f"{what}: compiled scenario diverged from the golden "
+                 f'({r["compiled_fingerprint"]} vs '
+                 f'{r["golden_fingerprint"]})')
         if not r["match"]:
             fail(f'{what}: "match" contradicts the fingerprints')
         if r["events"] <= 0:

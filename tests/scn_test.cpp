@@ -2,8 +2,9 @@
 // pipeline (fold, train lowering, strategy classes), blob robustness
 // (truncation, CRC damage, version/section mismatches), compile
 // determinism (compile-twice, dump-recompile fixpoint), the cost model,
-// and the oracle property — the compiled smart_projector scenario
-// reproduces the handwritten room's fingerprint bit-exactly.
+// and the goldens — the compiled smart_projector scenario reproduces the
+// recorded Smart Projector fingerprints, and every library scenario its
+// pinned outcome.
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/golden.hpp"
 #include "phys/profile.hpp"
 #include "scn/blob.hpp"
 #include "scn/compiler.hpp"
@@ -20,7 +22,6 @@
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "snap/format.hpp"
-#include "snap/room.hpp"
 #include "user/faculties.hpp"
 
 #ifndef AROMA_SCENARIO_DIR
@@ -376,24 +377,33 @@ TEST(ScnRuntime, RunTwiceThrows) {
   EXPECT_THROW(inst.run(), scn::ScnError);
 }
 
-// --- oracle ----------------------------------------------------------------
+// --- Smart Projector goldens ---------------------------------------------
 
-TEST(ScnOracle, CompiledSmartProjectorMatchesHandwrittenRoom) {
+// The room the paper walks through, pinned to what the handwritten room
+// recorded: shards 1 (one extra laptop) and 3 (three; staggered pingers and
+// the longer meeting horizon) by fingerprint and executed events, and the
+// fleet fingerprints bench/golden.hpp lists.
+TEST(ScnGolden, SmartProjectorRoom) {
   const std::string path =
       std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
   const scn::Scenario s = scn::decode(scn::compile_file(path, {}));
-  // Shard 1 (one extra laptop) and shard 3 (three): heterogeneous cases
-  // including staggered pingers and the longer meeting horizon.
-  for (const std::size_t shard : {std::size_t{1}, std::size_t{3}}) {
-    const std::uint64_t seed = sim::shard_seed(2026, shard);
-    snap::Room room(shard, seed);
-    room.warmup();
-    room.finish();
-    scn::ScenarioInstance inst(s, shard, seed);
+  struct RoomGolden {
+    std::size_t shard;
+    std::uint64_t fp;
+    std::uint64_t events;
+  };
+  for (const RoomGolden& g : {RoomGolden{1, 0xc6df2f8929234fadULL, 5077},
+                              RoomGolden{3, 0xcfebf200660d9ebcULL, 11971}}) {
+    scn::ScenarioInstance inst(
+        s, g.shard, sim::shard_seed(golden::kSmartProjectorSeed, g.shard));
     inst.run();
-    EXPECT_EQ(inst.fingerprint(), room.fingerprint()) << "shard " << shard;
-    EXPECT_EQ(inst.events(), room.world().sim().executed())
-        << "shard " << shard;
+    EXPECT_EQ(inst.fingerprint(), g.fp) << "shard " << g.shard;
+    EXPECT_EQ(inst.events(), g.events) << "shard " << g.shard;
+  }
+  for (const golden::FleetGolden& g : golden::kSmartProjectorFleets) {
+    const scn::FleetResult r =
+        scn::run_fleet(s, g.shards, golden::kSmartProjectorSeed, 2);
+    EXPECT_EQ(r.fleet_fp, g.fleet_fp) << g.shards << " shards";
   }
 }
 
