@@ -3,8 +3,10 @@
 // tables in a uniform format.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -105,6 +107,41 @@ class Cell {
   std::vector<std::unique_ptr<net::NetStack>> stacks_;
   std::uint64_t next_id_ = 1;
 };
+
+/// A 64-bit fingerprint as "0x" + 16 hex digits.
+inline std::string hex64(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Parses a flag's "1,8,64" list; anything else exits with status 2.
+inline std::vector<std::size_t> parse_csv(const char* s) {
+  std::vector<std::size_t> out;
+  std::size_t v = 0;
+  bool any = false;
+  for (const char* p = s;; ++p) {
+    if (*p >= '0' && *p <= '9') {
+      v = v * 10 + static_cast<std::size_t>(*p - '0');
+      any = true;
+    } else if (*p == ',' || *p == '\0') {
+      if (any) out.push_back(v);
+      v = 0;
+      any = false;
+      if (*p == '\0') break;
+    } else {
+      std::fprintf(stderr, "bad number list: %s\n", s);
+      std::exit(2);
+    }
+  }
+  return out;
+}
+
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 /// Prints a table header + separator: title, then column names.
 inline void table_header(const std::string& title,

@@ -59,18 +59,8 @@ namespace {
 
 using namespace aroma;
 using sim::Time;
-
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+using benchsup::hex64;
+using benchsup::seconds_since;
 
 // ---------------------------------------------------------------------------
 // Shared corpus: seeded services and query templates.

@@ -51,66 +51,52 @@
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/watchdog.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "snap/checkpoint.hpp"
 #include "snap/replay.hpp"
-#include "snap/room.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace benchsup = aroma::benchsup;
 
 namespace {
 
 using aroma::sim::Time;
+using Room = aroma::scn::ScenarioInstance;
+using benchsup::hex64;
+using benchsup::parse_csv;
+using benchsup::seconds_since;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+/// The Smart Projector room every leg runs, compiled once.
+const aroma::scn::Scenario& projector_scenario() {
+  static const aroma::scn::Scenario s = aroma::scn::decode(
+      aroma::scn::compile_file(std::string(AROMA_SCENARIO_DIR) +
+                               "/smart_projector.scn"));
+  return s;
 }
 
-std::vector<std::size_t> parse_csv(const char* s) {
-  std::vector<std::size_t> out;
-  std::size_t v = 0;
-  bool any = false;
-  for (const char* p = s;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<std::size_t>(*p - '0');
-      any = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (any) out.push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      std::fprintf(stderr, "bad number list: %s\n", s);
-      std::exit(2);
-    }
-  }
-  return out;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-aroma::snap::RoomOptions telemetry_room() {
-  aroma::snap::RoomOptions opt;
-  opt.telemetry = true;
-  return opt;
+/// Shard `shard` of the fleet at `seed`, with telemetry attached.
+std::unique_ptr<Room> telemetry_room(std::size_t shard, std::uint64_t seed) {
+  return std::make_unique<Room>(projector_scenario(), shard,
+                                aroma::sim::shard_seed(seed, shard),
+                                aroma::scn::RunOptions{.telemetry = true});
 }
 
 // The full plane on one room: flight recorder on the kernel tap, watchdogs
 // and sampler chained behind it, span edges forwarded from the tracer.
-// Construct after the Room and destroy before it; the destructor detaches
+// Construct after the room and destroy before it; the destructor detaches
 // everything it attached.
 struct Plane {
   aroma::obs::FlightRecorder rec;
   aroma::obs::WatchdogSet dogs;
   aroma::obs::TimeseriesSampler sampler;
-  aroma::snap::Room& room;
+  Room& room;
 
   // The fleet-wide always-on configuration keeps the ring small enough to
   // stay L1-resident next to the sim's own hot set, samples at a coarse
@@ -128,7 +114,7 @@ struct Plane {
     return w;
   }
 
-  Plane(aroma::snap::Room& r, std::uint32_t shard, std::size_t capacity,
+  Plane(Room& r, std::uint32_t shard, std::size_t capacity,
         Time sample_period, aroma::obs::WatchdogOptions wopts = {})
       : rec(capacity, shard),
         dogs(r.world(), wopts),
@@ -176,13 +162,12 @@ PairResult run_fleet_pair(std::size_t shards, std::size_t workers,
                           std::vector<std::uint64_t>& on_walls) {
   std::vector<std::uint64_t> off_fps(shards, 0);
   std::vector<std::uint64_t> on_fps(shards, 0);
-  std::vector<std::unique_ptr<aroma::snap::Room>> keep;
+  std::vector<std::unique_ptr<Room>> keep;
   if (merged != nullptr) keep.resize(shards);
   aroma::sim::WorkStealingPool::run(
       workers, shards, [&](std::size_t i, std::size_t) {
         auto leg = [&](bool plane_on) {
-          auto room = std::make_unique<aroma::snap::Room>(
-              i, aroma::sim::shard_seed(seed, i), telemetry_room());
+          auto room = telemetry_room(i, seed);
           room->warmup();
           std::unique_ptr<Plane> plane;
           if (plane_on) {
@@ -245,7 +230,7 @@ struct FaultInjection {
   // Schedules the fault strictly after `base` (the checkpoint instant).
   // Called identically in the faulting run and the replay, so both runs
   // issue the same schedule calls from the same kernel state.
-  std::function<void(aroma::snap::Room&, Time)> inject;
+  std::function<void(Room&, Time)> inject;
   aroma::obs::Watchdog expect;
   const char* name;
 };
@@ -273,9 +258,8 @@ FaultResult run_fault(std::uint64_t seed, const FaultInjection& fault,
   wopts.stall_run_limit = kStallRunLimit;
   wopts.retry_storm_limit = kRetryStormLimit;
 
-  aroma::snap::Room room(kFaultShard,
-                         aroma::sim::shard_seed(seed, kFaultShard),
-                         telemetry_room());
+  const std::unique_ptr<Room> live = telemetry_room(kFaultShard, seed);
+  Room& room = *live;
   room.warmup();
   Plane plane(room, kFaultShard, Plane::kDeepRing, Time::ms(250), wopts);
   room.run_until(Time::sec(kCheckpointAtSec));
@@ -323,9 +307,8 @@ FaultResult run_fault(std::uint64_t seed, const FaultInjection& fault,
 
   // Time travel: fresh room, restore the embedded checkpoint, re-apply the
   // injection, and watch the harness execute the dump's faulting event.
-  aroma::snap::Room replay(kFaultShard,
-                           aroma::sim::shard_seed(seed, kFaultShard),
-                           telemetry_room());
+  const std::unique_ptr<Room> rebuilt = telemetry_room(kFaultShard, seed);
+  Room& replay = *rebuilt;
   replay.warmup();
   replay.restore(dump.checkpoint, Time::sec(0.0));
   aroma::snap::ReplayHarness harness;
@@ -536,15 +519,16 @@ int main(int argc, char** argv) {
 
   // --- Fault legs: detect, dump, time-travel. -----------------------------
   const FaultInjection stall_fault{
-      [](aroma::snap::Room& room, Time base) {
+      [](Room& room, Time base) {
         arm_stall_chain(room.world().sim(), base + Time::sec(1.0),
                         kStallChainLen);
       },
       aroma::obs::Watchdog::kSimStall, "sim-stall"};
   const FaultInjection jam_fault{
-      [](aroma::snap::Room& room, Time base) {
-        // Channel 6 is the room's radio channel (snap/room.cpp); 30 dBm in
-        // the middle of the floor plan flattens the SINR of every link.
+      [](Room& room, Time base) {
+        // Channel 6 is the room's radio channel (the scenario's default);
+        // 30 dBm in the middle of the floor plan flattens the SINR of every
+        // link.
         // The start/stop closures keep the jammer alive; its own scheduled
         // bursts hold only a liveness guard, so teardown is clean.
         auto jammer = std::make_shared<aroma::diag::Jammer>(

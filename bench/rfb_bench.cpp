@@ -45,16 +45,10 @@
 namespace {
 
 using namespace aroma;
+using benchsup::hex64;
 
 constexpr int kWidth = 320;
 constexpr int kHeight = 240;
-
-std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 // ---------------------------------------------------------------------------
 // Slide deck with revisits. SlideDeckWorkload draws a fresh random slide on

@@ -42,34 +42,8 @@
 namespace {
 
 using namespace aroma;
-
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::vector<std::size_t> parse_csv(const char* s) {
-  std::vector<std::size_t> out;
-  std::size_t v = 0;
-  bool any = false;
-  for (const char* p = s;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<std::size_t>(*p - '0');
-      any = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (any) out.push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      std::fprintf(stderr, "bad number list: %s\n", s);
-      std::exit(2);
-    }
-  }
-  return out;
-}
+using benchsup::hex64;
+using benchsup::parse_csv;
 
 struct TimedFleet {
   scn::FleetResult result;

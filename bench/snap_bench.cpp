@@ -7,11 +7,14 @@
 // restore the blob and resume to a bit-identical fleet fingerprint. It
 // reports:
 //
-//  * restore-then-resume equality per shard count: an uninterrupted
-//    reference fleet, a checkpointed fleet (full checkpoint taken at
-//    t=50 s, then resumed in-process), and a restored fleet (fresh rooms,
-//    warmup + restore(blob) under a different worker count) must all land
-//    on the same fleet fingerprint,
+//  * restore-then-resume equality per shard count on the Smart Projector
+//    room (scenarios/smart_projector.scn): an uninterrupted reference
+//    fleet, a checkpointed fleet (full checkpoint taken at t=50 s, then
+//    resumed in-process), and a restored fleet (fresh rooms, warmup +
+//    restore(blob) under a different worker count) must all land on the
+//    same fleet fingerprint,
+//  * the same restore-then-resume equality over every library scenario,
+//    each shard checkpointed halfway through its own meeting phase,
 //  * full-vs-incremental checkpoint sizes on the steady-state projector
 //    workload at a sub-second cadence (the pixel section only churns on
 //    slide flips, so incrementals must be at least --min-incr-ratio times
@@ -30,117 +33,106 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "snap/checkpoint.hpp"
-#include "snap/room.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace benchsup = aroma::benchsup;
 
 namespace {
 
+using aroma::scn::ScenarioInstance;
 using aroma::sim::Time;
+using benchsup::hex64;
+using benchsup::parse_csv;
+using benchsup::seconds_since;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+// The Smart Projector sweep's capture target. Every shard's meeting runs
+// at least 45..55 s, so 50 s is inside the steady state for all of them;
+// the actual capture instant is the first quiescent point at or after it.
+constexpr double kCheckpointAtSec = 50.0;
+// Shards per scenario in the library leg (stadium rooms are the slow ones).
+constexpr std::size_t kLibraryShards = 2;
+
+/// Halfway through a shard's meeting phase: the library leg's capture
+/// target, taken from each scenario's own phases.
+Time mid_meeting(const ScenarioInstance& room) {
+  return room.meeting_start() +
+         Time::ns((room.horizon() - room.meeting_start()).count() / 2);
 }
 
-std::vector<std::size_t> parse_csv(const char* s) {
-  std::vector<std::size_t> out;
-  std::size_t v = 0;
-  bool any = false;
-  for (const char* p = s;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<std::size_t>(*p - '0');
-      any = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (any) out.push_back(v);
-      v = 0;
-      any = false;
-      if (*p == '\0') break;
-    } else {
-      std::fprintf(stderr, "bad number list: %s\n", s);
-      std::exit(2);
-    }
-  }
+struct Legs {
+  std::uint64_t reference_fp = 0;     // uninterrupted
+  std::uint64_t checkpointed_fp = 0;  // checkpointed, resumed in-process
+  std::uint64_t restored_fp = 0;      // fresh rooms restored from the blobs
+  double reference_wall_s = 0.0;
+  double restore_wall_s = 0.0;
+  std::uint64_t blob_bytes_total = 0;
+};
+
+/// Restore-then-resume over a fleet of `shards` rooms: the reference pass
+/// and the capture pass (full checkpoint at `capture_at`, then resumed
+/// in-process) run under `capture_workers`; the restore pass (structural
+/// rebuild, overwrite from the blobs, resume) under `restore_workers`.
+Legs restore_then_resume(
+    const aroma::scn::Scenario& s, std::size_t shards, std::uint64_t seed,
+    std::size_t capture_workers, std::size_t restore_workers,
+    const std::function<Time(const ScenarioInstance&)>& capture_at) {
+  std::vector<std::uint64_t> ref(shards), cap(shards), res(shards);
+  std::vector<std::vector<std::uint8_t>> blobs(shards);
+  const auto pass = [&](std::size_t workers, auto&& body) {
+    const auto t0 = std::chrono::steady_clock::now();
+    aroma::sim::WorkStealingPool::run(
+        workers, shards, [&](std::size_t i, std::size_t) {
+          ScenarioInstance room(s, i, aroma::sim::shard_seed(seed, i));
+          body(i, room);
+        });
+    return seconds_since(t0);
+  };
+  Legs out;
+  out.reference_wall_s = pass(capture_workers, [&](std::size_t i,
+                                                   ScenarioInstance& room) {
+    room.run();
+    ref[i] = room.fingerprint();
+  });
+  pass(capture_workers, [&](std::size_t i, ScenarioInstance& room) {
+    room.warmup();
+    room.run_until(capture_at(room));
+    aroma::snap::CheckpointManager cm(room.world(), room.registry());
+    blobs[i] = cm.take_full().blob;
+    room.finish();
+    cap[i] = room.fingerprint();
+  });
+  out.restore_wall_s = pass(restore_workers, [&](std::size_t i,
+                                                 ScenarioInstance& room) {
+    room.warmup();
+    room.restore(blobs[i], Time::sec(0.0));
+    room.finish();
+    res[i] = room.fingerprint();
+  });
+  out.reference_fp = aroma::sim::fleet_fingerprint(ref);
+  out.checkpointed_fp = aroma::sim::fleet_fingerprint(cap);
+  out.restored_fp = aroma::sim::fleet_fingerprint(res);
+  for (const auto& b : blobs) out.blob_bytes_total += b.size();
   return out;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-// The mid-meeting capture target. Every shard's meeting runs at least
-// 45..55 s, so 50 s is inside the steady state for all of them; the actual
-// capture instant is the first quiescent point at or after it.
-constexpr double kCheckpointAtSec = 50.0;
-
-struct PassResult {
-  std::uint64_t fleet_fp = 0;
-  double wall_s = 0.0;
-};
-
-// Uninterrupted reference fleet: warmup + finish, no checkpoint.
-PassResult run_reference(std::size_t shards, std::size_t workers,
-                         std::uint64_t seed) {
-  std::vector<std::uint64_t> fps(shards, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  aroma::sim::WorkStealingPool::run(
-      workers, shards, [&](std::size_t i, std::size_t) {
-        aroma::snap::Room room(i, aroma::sim::shard_seed(seed, i));
-        room.warmup();
-        room.finish();
-        fps[i] = room.fingerprint();
-      });
-  return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
-}
-
-// Checkpointed fleet: full checkpoint at the capture target, then resume
-// in-process to the end. Returns the per-shard blobs for the restore pass.
-PassResult run_capture(std::size_t shards, std::size_t workers,
-                       std::uint64_t seed,
-                       std::vector<std::vector<std::uint8_t>>& blobs) {
-  std::vector<std::uint64_t> fps(shards, 0);
-  blobs.assign(shards, {});
-  const auto t0 = std::chrono::steady_clock::now();
-  aroma::sim::WorkStealingPool::run(
-      workers, shards, [&](std::size_t i, std::size_t) {
-        aroma::snap::Room room(i, aroma::sim::shard_seed(seed, i));
-        room.warmup();
-        room.run_until(Time::sec(kCheckpointAtSec));
-        aroma::snap::CheckpointManager cm(room.world(), room.registry());
-        blobs[i] = cm.take_full().blob;
-        room.finish();
-        fps[i] = room.fingerprint();
-      });
-  return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
-}
-
-// Restored fleet: fresh rooms (structural rebuild), overwrite from the
-// blobs, resume to the end — under a different worker count.
-PassResult run_restore(std::size_t shards, std::size_t workers,
-                       std::uint64_t seed,
-                       const std::vector<std::vector<std::uint8_t>>& blobs) {
-  std::vector<std::uint64_t> fps(shards, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  aroma::sim::WorkStealingPool::run(
-      workers, shards, [&](std::size_t i, std::size_t) {
-        aroma::snap::Room room(i, aroma::sim::shard_seed(seed, i));
-        room.warmup();
-        room.restore(blobs[i], Time::sec(0.0));
-        room.finish();
-        fps[i] = room.fingerprint();
-      });
-  return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
+aroma::scn::Scenario compile_scenario(const std::string& name) {
+  return aroma::scn::decode(aroma::scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn"));
 }
 
 }  // namespace
@@ -190,62 +182,78 @@ int main(int argc, char** argv) {
               hw, static_cast<unsigned long long>(seed), kCheckpointAtSec);
   bool ok = true;
 
-  // --- Restore-then-resume equality sweep. --------------------------------
-  benchsup::table_header(
-      "Restore-then-resume equality",
-      {"shards", "blob-KiB-avg", "ckpt-match", "restore-match",
-       "fingerprint"});
-  benchsup::Json runs = benchsup::Json::array();
+  const aroma::scn::Scenario projector = compile_scenario("smart_projector");
+
+  // Gates one restore-then-resume leg (checkpointed and restored fleets
+  // must both land on the reference), prints its table row, and returns
+  // its JSON row.
   bool fingerprints_match = true;
-  for (const std::size_t shards : shard_counts) {
-    std::vector<std::vector<std::uint8_t>> blobs;
-    const PassResult ref = run_reference(shards, capture_workers, seed);
-    const PassResult cap =
-        run_capture(shards, capture_workers, seed, blobs);
-    const PassResult res =
-        run_restore(shards, restore_workers, seed, blobs);
-    std::uint64_t blob_total = 0;
-    for (const auto& b : blobs) blob_total += b.size();
-    const double blob_avg =
-        static_cast<double>(blob_total) / static_cast<double>(shards);
-    const bool cap_match = cap.fleet_fp == ref.fleet_fp;
-    const bool res_match = res.fleet_fp == ref.fleet_fp;
-    if (!cap_match) {
+  const auto record = [&](const Legs& l, const std::string& label,
+                          std::size_t shards) {
+    const bool cap_match = l.checkpointed_fp == l.reference_fp;
+    const bool res_match = l.restored_fp == l.reference_fp;
+    if (!(cap_match && res_match)) {
       std::fprintf(stderr,
-                   "FAIL: checkpointing perturbed the run at shards=%zu "
-                   "(%s vs reference %s)\n",
-                   shards, hex64(cap.fleet_fp).c_str(),
-                   hex64(ref.fleet_fp).c_str());
+                   "FAIL: %s: checkpointed %s, restored %s, reference %s\n",
+                   label.c_str(), hex64(l.checkpointed_fp).c_str(),
+                   hex64(l.restored_fp).c_str(),
+                   hex64(l.reference_fp).c_str());
       fingerprints_match = false;
       ok = false;
     }
-    if (!res_match) {
-      std::fprintf(stderr,
-                   "FAIL: restored fleet diverged at shards=%zu "
-                   "(%s vs reference %s)\n",
-                   shards, hex64(res.fleet_fp).c_str(),
-                   hex64(ref.fleet_fp).c_str());
-      fingerprints_match = false;
-      ok = false;
-    }
-    benchsup::table_row(static_cast<double>(shards), blob_avg / 1024.0,
+    const double blob_avg = static_cast<double>(l.blob_bytes_total) /
+                            static_cast<double>(shards);
+    benchsup::table_row(label, blob_avg / 1024.0,
                         std::string(cap_match ? "yes" : "NO"),
                         std::string(res_match ? "yes" : "NO"),
-                        hex64(ref.fleet_fp));
+                        hex64(l.reference_fp));
     benchsup::Json row = benchsup::Json::object();
     row.set("shards", static_cast<std::uint64_t>(shards));
-    row.set("capture_workers", static_cast<std::uint64_t>(capture_workers));
-    row.set("restore_workers", static_cast<std::uint64_t>(restore_workers));
-    row.set("blob_bytes_total", blob_total);
     row.set("blob_bytes_avg", blob_avg);
-    row.set("reference_wall_s", ref.wall_s);
-    row.set("restore_wall_s", res.wall_s);
-    row.set("reference_fingerprint", hex64(ref.fleet_fp));
-    row.set("checkpointed_fingerprint", hex64(cap.fleet_fp));
-    row.set("restored_fingerprint", hex64(res.fleet_fp));
+    row.set("reference_fingerprint", hex64(l.reference_fp));
+    row.set("checkpointed_fingerprint", hex64(l.checkpointed_fp));
+    row.set("restored_fingerprint", hex64(l.restored_fp));
     row.set("checkpoint_match", cap_match);
     row.set("restore_match", res_match);
+    return row;
+  };
+
+  // --- Restore-then-resume equality sweep. --------------------------------
+  benchsup::table_header("Restore-then-resume equality",
+                         {"shards", "blob-KiB-avg", "ckpt-match",
+                          "restore-match", "fingerprint"});
+  benchsup::Json runs = benchsup::Json::array();
+  for (const std::size_t shards : shard_counts) {
+    const Legs l = restore_then_resume(
+        projector, shards, seed, capture_workers, restore_workers,
+        [](const ScenarioInstance&) { return Time::sec(kCheckpointAtSec); });
+    benchsup::Json row = record(l, std::to_string(shards), shards);
+    row.set("capture_workers", static_cast<std::uint64_t>(capture_workers));
+    row.set("restore_workers", static_cast<std::uint64_t>(restore_workers));
+    row.set("blob_bytes_total", l.blob_bytes_total);
+    row.set("reference_wall_s", l.reference_wall_s);
+    row.set("restore_wall_s", l.restore_wall_s);
     runs.push(std::move(row));
+  }
+
+  // --- Restore-then-resume over the scenario library. ---------------------
+  // Every library scenario, each shard checkpointed halfway through its
+  // own meeting phase.
+  benchsup::table_header("Restore-then-resume over the library (" +
+                             std::to_string(kLibraryShards) +
+                             " shards, mid-meeting)",
+                         {"scenario", "blob-KiB-avg", "ckpt-match",
+                          "restore-match", "fingerprint"});
+  benchsup::Json library = benchsup::Json::array();
+  for (const char* name : {"smart_projector", "office_tower",
+                           "conference_hall", "hospital_ward", "stadium",
+                           "campus_mesh"}) {
+    const Legs l =
+        restore_then_resume(compile_scenario(name), kLibraryShards, seed,
+                            capture_workers, restore_workers, mid_meeting);
+    benchsup::Json row = record(l, name, kLibraryShards);
+    row.set("scenario", std::string(name));
+    library.push(std::move(row));
   }
 
   // --- Full vs incremental cadence. ---------------------------------------
@@ -255,8 +263,8 @@ int main(int argc, char** argv) {
   // dirty-section delta must shrink the average blob by at least the gate.
   constexpr std::size_t kCadenceShard = 1;
   constexpr int kCadenceCycles = 16;
-  aroma::snap::Room cadence_room(
-      kCadenceShard, aroma::sim::shard_seed(seed, kCadenceShard));
+  ScenarioInstance cadence_room(projector, kCadenceShard,
+                                aroma::sim::shard_seed(seed, kCadenceShard));
   cadence_room.warmup();
   cadence_room.run_until(Time::sec(46.0));
   aroma::snap::CheckpointManager::Options cadence_opts;
@@ -346,6 +354,7 @@ int main(int argc, char** argv) {
   doc.set("hw_workers", static_cast<std::uint64_t>(hw));
   doc.set("checkpoint_at_s", kCheckpointAtSec);
   doc.set("runs", std::move(runs));
+  doc.set("library", std::move(library));
   benchsup::Json incr = benchsup::Json::object();
   incr.set("cadence_s", cadence_s);
   incr.set("cycles", static_cast<std::uint64_t>(kCadenceCycles));

@@ -203,6 +203,19 @@ def check_kernel(doc):
                      f'{gate.get("speedup")} < {gate.get("min_speedup")}')
             if gate.get("speedup", 0) < gate.get("min_speedup", 2.0):
                 fail('radio_256 gate "passed" contradicts its speedup')
+            # The gate is the median of interleaved scalar/batched pairs,
+            # not one scalar leg against one batched leg.
+            pairs = gate.get("pair_speedups")
+            if not isinstance(pairs, list) or len(pairs) < 7 or \
+                    gate.get("pairs") != len(pairs):
+                fail("radio_256 gate needs >= 7 interleaved pair speedups")
+            ranked = sorted(pairs)
+            mid = len(ranked) // 2
+            med = ranked[mid] if len(ranked) % 2 else \
+                (ranked[mid - 1] + ranked[mid]) / 2
+            if abs(med - gate["speedup"]) > 1e-9 * max(1.0, med):
+                fail(f'radio_256 gate speedup {gate["speedup"]} is not the '
+                     f"median of its pairs ({med})")
 
     missing = EXPECTED_SCENARIOS - names
     # A substring filter run is allowed, but the default CI smoke runs all.
@@ -213,11 +226,29 @@ def check_kernel(doc):
           f"{sum(s['events'] for s in scenarios)} events total)")
 
 
+def check_efficiency_gate(obj, what, hw_workers):
+    """A scaling-efficiency gate is live, or says why it is not: an
+    instrumented (sanitizer) build, or a host with fewer than 4 cores."""
+    active = obj.get("efficiency_gate_active")
+    if not isinstance(active, bool):
+        fail(f'{what} "efficiency_gate_active" missing or not a bool')
+    reason = obj.get("efficiency_gate_inactive_reason")
+    if active:
+        if reason is not None:
+            fail(f"{what}: live efficiency gate carries an inactive reason")
+        return
+    if reason == "sanitizer":
+        return
+    if reason == "cores" and hw_workers < 4:
+        return
+    fail(f"{what}: efficiency gate inactive without an accepted reason "
+         f"({reason!r}, {hw_workers} hardware workers)")
+
+
 def check_fleet(doc):
     if not isinstance(doc.get("hw_workers"), int) or doc["hw_workers"] < 1:
         fail('"hw_workers" missing or < 1')
-    if not isinstance(doc.get("efficiency_gate_active"), bool):
-        fail('"efficiency_gate_active" missing or not a bool')
+    check_efficiency_gate(doc, "fleet", doc["hw_workers"])
 
     alloc = doc.get("alloc")
     if not isinstance(alloc, dict):
@@ -292,6 +323,7 @@ def check_fleet(doc):
                 "efficiency_ok"):
         if scale.get(key) is not True:
             fail(f'"proc.scale_out.{key}" is not true')
+    check_efficiency_gate(scale, "proc.scale_out", doc["hw_workers"])
     check_fingerprint(scale.get("single_process_fingerprint", ""),
                       "proc.scale_out")
     if scale.get("total_rooms") != (scale.get("shards", 0) *
@@ -521,6 +553,16 @@ SNAP_RUN_KEYS = {
     "checkpoint_match": bool,
     "restore_match": bool,
 }
+SNAP_LIBRARY_KEYS = {
+    "scenario": str,
+    "shards": int,
+    "blob_bytes_avg": float,
+    "reference_fingerprint": str,
+    "checkpointed_fingerprint": str,
+    "restored_fingerprint": str,
+    "checkpoint_match": bool,
+    "restore_match": bool,
+}
 SNAP_INCR_KEYS = {
     "cadence_s": float,
     "cycles": int,
@@ -545,23 +587,38 @@ def check_snap(doc):
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
         fail('top-level "runs" missing or empty')
-    for r in runs:
-        what = f'snap run shards={r.get("shards")}'
-        check_keys(r, SNAP_RUN_KEYS, what)
-        if r["blob_bytes_total"] <= 0:
-            fail(f"{what} wrote an empty checkpoint blob")
+    # The durability contract, re-checked from the artifact itself:
+    # checkpointing must not perturb the run, and the restored fleet
+    # (different worker count) must land on the reference fingerprint.
+    def check_durable(r, keys, what):
+        check_keys(r, keys, what)
         for key in ("reference_fingerprint", "checkpointed_fingerprint",
                     "restored_fingerprint"):
             check_fingerprint(r[key], f"{what} {key}")
-        # The durability contract, re-checked from the artifact itself:
-        # checkpointing must not perturb the run, and the restored fleet
-        # (different worker count) must land on the reference fingerprint.
         if r["checkpointed_fingerprint"] != r["reference_fingerprint"]:
             fail(f"{what}: checkpointing perturbed the run")
         if r["restored_fingerprint"] != r["reference_fingerprint"]:
             fail(f"{what}: restored fleet diverged from the reference")
         if not (r["checkpoint_match"] and r["restore_match"]):
             fail(f"{what}: match flags contradict the fingerprints")
+
+    for r in runs:
+        what = f'snap run shards={r.get("shards")}'
+        check_durable(r, SNAP_RUN_KEYS, what)
+        if r["blob_bytes_total"] <= 0:
+            fail(f"{what} wrote an empty checkpoint blob")
+
+    # Restore-then-resume over every library scenario, captured
+    # mid-meeting: the same contract, per scenario.
+    library = doc.get("library")
+    if not isinstance(library, list):
+        fail('top-level "library" missing')
+    for r in library:
+        check_durable(r, SNAP_LIBRARY_KEYS,
+                      f'snap library scenario {r.get("scenario")!r}')
+    missing = SCN_LIBRARY - {r["scenario"] for r in library}
+    if missing:
+        fail(f"snap library leg is missing scenarios: {sorted(missing)}")
 
     incr = doc.get("incremental")
     if not isinstance(incr, dict):
@@ -589,6 +646,7 @@ def check_snap(doc):
             fail(f'"gates.{key}" is not true')
 
     print(f"check_bench_json: OK (snap: {len(runs)} shard counts, "
+          f"{len(library)} library scenarios, "
           f'incremental ratio {incr["ratio"]:.1f}x, '
           f'blob {incr["full_bytes"]} B)')
 

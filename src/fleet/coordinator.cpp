@@ -56,6 +56,9 @@ FleetReport Coordinator::run() {
   const FleetOptions& opt = options_;
   if (opt.workers == 0) throw FleetError("fleet needs at least one worker");
   if (opt.shards == 0) throw FleetError("fleet needs at least one shard");
+  if (opt.kind == ShardKind::kRoom && opt.scenario.empty()) {
+    throw FleetError("room shards need a scenario blob");
+  }
 
   FleetReport report;
   obs::Counter& c_migrations =
@@ -159,6 +162,7 @@ FleetReport Coordinator::run() {
     s.spec.shard_id = i;
     s.spec.seed = sim::shard_seed(opt.seed, i);
     s.spec.kind = opt.kind;
+    if (opt.kind == ShardKind::kRoom) s.spec.scenario = opt.scenario;
     s.spec.micro_rooms = opt.micro_rooms;
     s.spec.cadence_ns = opt.cadence_ns;
     s.spec.telemetry = opt.telemetry;

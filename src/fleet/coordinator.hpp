@@ -55,9 +55,11 @@ struct FleetOptions {
   std::size_t shards = 8;
   std::uint64_t seed = 42;
   ShardKind kind = ShardKind::kRoom;
+  /// The AROMSCEN blob every kRoom shard instantiates (required for kRoom).
+  std::vector<std::uint8_t> scenario;
   std::uint32_t micro_rooms = 1024;   // rooms per shard when kind == kMicro
   std::int64_t cadence_ns = 0;        // checkpoint cadence (0: none)
-  bool telemetry = false;             // Room shards carry obs registries
+  bool telemetry = false;             // room shards carry obs registries
   int heartbeat_interval_ms = 50;
   /// Silence on a worker's channel for this long is a presumed death.
   int heartbeat_timeout_ms = 2000;

@@ -1,7 +1,8 @@
 // MicroShard — the ~1M-room scale-out unit.
 //
-// A snap::Room is the full Environment -> Intentional stack: CSMA radios,
-// Jini discovery, sessioned services, a live RFB stream. Faithful, but at
+// A scenario room (scn::ScenarioInstance) is the full Environment ->
+// Intentional stack: CSMA radios, Jini discovery, sessioned services, a
+// live RFB stream. Faithful, but at
 // milliseconds of wall time per room a million of them is hours — useless
 // for a scale-out sweep. The paper's scale story ("thousands of rooms,
 // millions of users") is about breadth, not per-room depth, so the sweep
@@ -47,8 +48,13 @@ class MicroShard {
   void run_until(sim::Time t);
   sim::Time now() const { return now_; }
 
-  /// Shared meeting horizon; heterogeneous across shards like snap::Room
-  /// (55 s + 10 s * (shard % 5)), so work stealing stays meaningful.
+  /// When the beacon trains start: after the fleet-wide 45 s setup phase,
+  /// the Smart Projector room's meeting start.
+  static constexpr sim::Time start_time() { return sim::Time::sec(45.0); }
+
+  /// Shared meeting horizon; heterogeneous across shards like the Smart
+  /// Projector room (55 s + 10 s * (shard % 5)), so work stealing stays
+  /// meaningful.
   sim::Time horizon() const { return horizon_; }
 
   /// Runs every beacon train to the horizon.

@@ -44,7 +44,7 @@ class FleetError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x544c4641u;  // "AFLT"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+inline constexpr std::uint16_t kProtocolVersion = 2;
 /// Frames larger than this are a protocol error, not an allocation request.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
@@ -94,8 +94,9 @@ enum class KillMode : std::uint8_t {
   kHang = 1,  // stop responding, keep the fd open: heartbeat timeout path
 };
 
-/// What a shard runs: a full checkpointable Smart Projector room, or a
-/// block of micro-rooms (the ~1M-room scale-out unit; see fleet/micro.hpp).
+/// What a shard runs: a full checkpointable room compiled from a scenario
+/// (ShardSpec::scenario), or a block of micro-rooms (the ~1M-room scale-out
+/// unit; see fleet/micro.hpp).
 enum class ShardKind : std::uint8_t { kRoom = 0, kMicro = 1 };
 
 // ---------------------------------------------------------------------------
@@ -237,6 +238,9 @@ struct ShardSpec {
   std::uint32_t micro_rooms = 0;     // rooms per shard when kind == kMicro
   std::int64_t cadence_ns = 0;       // 0: no cadenced checkpoints
   bool telemetry = false;
+  /// The AROMSCEN blob (scn::compile) a kRoom shard instantiates; the
+  /// worker rejects a room shard without one. Empty for kMicro.
+  std::vector<std::uint8_t> scenario;
 
   void encode(WireWriter& w) const {
     w.u64(shard_id);
@@ -245,6 +249,7 @@ struct ShardSpec {
     w.u32(micro_rooms);
     w.i64(cadence_ns);
     w.u8(telemetry ? 1 : 0);
+    w.bytes(scenario);
   }
   static ShardSpec decode(WireReader& r) {
     ShardSpec s;
@@ -254,6 +259,8 @@ struct ShardSpec {
     s.micro_rooms = r.u32();
     s.cadence_ns = r.i64();
     s.telemetry = r.u8() != 0;
+    const std::span<const std::uint8_t> scenario = r.bytes();
+    s.scenario.assign(scenario.begin(), scenario.end());
     return s;
   }
 };

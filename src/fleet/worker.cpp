@@ -9,8 +9,9 @@
 #include "fleet/micro.hpp"
 #include "fleet/wire.hpp"
 #include "obs/telemetry.hpp"
+#include "scn/blob.hpp"
+#include "scn/runtime.hpp"
 #include "snap/checkpoint.hpp"
-#include "snap/room.hpp"
 
 namespace aroma::fleet {
 
@@ -19,14 +20,15 @@ namespace {
 /// One shard this worker owns. Exactly one of room/micro is set.
 struct Owned {
   ShardSpec spec;
-  std::unique_ptr<snap::Room> room;
+  std::unique_ptr<scn::Scenario> scenario;  // outlives room
+  std::unique_ptr<scn::ScenarioInstance> room;
   std::unique_ptr<snap::CheckpointManager> mgr;
   std::unique_ptr<MicroShard> micro;
   std::uint64_t next_ckpt = 1;  // index of the next cadence point
   bool done = false;
 
   std::uint64_t events() const {
-    return micro ? micro->events() : room->world().sim().executed();
+    return micro ? micro->events() : room->events();
   }
 };
 
@@ -37,10 +39,18 @@ Owned make_shard(const ShardSpec& spec) {
     o.micro = std::make_unique<MicroShard>(
         static_cast<std::size_t>(spec.shard_id), spec.seed, spec.micro_rooms);
   } else {
-    snap::RoomOptions ropts;
+    if (spec.scenario.empty()) {
+      throw FleetError("room shard " + std::to_string(spec.shard_id) +
+                       " arrived without a scenario blob");
+    }
+    // scn::decode rejects hostile bytes (as ScnError) before anything is
+    // built.
+    o.scenario = std::make_unique<scn::Scenario>(scn::decode(spec.scenario));
+    scn::RunOptions ropts;
     ropts.telemetry = spec.telemetry;
-    o.room = std::make_unique<snap::Room>(
-        static_cast<std::size_t>(spec.shard_id), spec.seed, ropts);
+    o.room = std::make_unique<scn::ScenarioInstance>(
+        *o.scenario, static_cast<std::size_t>(spec.shard_id), spec.seed,
+        ropts);
     o.room->warmup();
     snap::CheckpointManager::Options copts;
     copts.full_every = 1;  // migration and recovery need restorable blobs
@@ -51,10 +61,13 @@ Owned make_shard(const ShardSpec& spec) {
   return o;
 }
 
-/// The next cadence point: setup + k * cadence (cadence_ns == 0: never).
+/// The next cadence point: meeting start + k * cadence (cadence_ns == 0:
+/// never).
 sim::Time next_cadence_point(const Owned& o) {
   if (o.spec.cadence_ns <= 0) return sim::Time::ns(INT64_MAX);
-  return sim::Time::ns(snap::Room::setup_time().count() +
+  const sim::Time start =
+      o.micro ? MicroShard::start_time() : o.room->meeting_start();
+  return sim::Time::ns(start.count() +
                        o.spec.cadence_ns *
                            static_cast<std::int64_t>(o.next_ckpt));
 }
@@ -200,7 +213,7 @@ class Worker {
         captured_ns = o.micro->now().count();
       } else {
         const snap::Checkpoint ckpt = o.mgr->take_full();
-        scratch_.blob = ckpt.blob;  // copy; Room blobs are not gated
+        scratch_.blob = ckpt.blob;  // copy; room blobs are not gated
         captured_ns = ckpt.captured_at.count();
       }
       const bool ok = chan_.send(MsgType::kMigrated, [&](WireWriter& w) {

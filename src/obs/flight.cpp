@@ -250,7 +250,7 @@ FlightDump FlightDump::parse(std::span<const std::uint8_t> blob) {
   const snap::SnapReader snap(blob);
   FlightDump dump;
 
-  const snap::Section* header = snap.find(kTagFlightHeader);
+  const snap::SectionView* header = snap.find(kTagFlightHeader);
   if (header == nullptr) {
     throw snap::SnapError("flight dump has no FLTH header section");
   }
@@ -268,7 +268,7 @@ FlightDump FlightDump::parse(std::span<const std::uint8_t> blob) {
     r.expect_end();
   }
 
-  if (const snap::Section* s = snap.find(kTagFlightNames)) {
+  if (const snap::SectionView* s = snap.find(kTagFlightNames)) {
     snap::SectionReader r(s->payload, sim::Time::zero());
     const std::uint64_t n = r.u64();
     dump.names.reserve(static_cast<std::size_t>(n));
@@ -276,7 +276,7 @@ FlightDump FlightDump::parse(std::span<const std::uint8_t> blob) {
     r.expect_end();
   }
 
-  if (const snap::Section* s = snap.find(kTagFlightRecords)) {
+  if (const snap::SectionView* s = snap.find(kTagFlightRecords)) {
     snap::SectionReader r(s->payload, sim::Time::zero());
     const std::uint64_t n = r.u64();
     dump.records.reserve(static_cast<std::size_t>(n));
@@ -293,7 +293,7 @@ FlightDump FlightDump::parse(std::span<const std::uint8_t> blob) {
     r.expect_end();
   }
 
-  if (const snap::Section* s = snap.find(kTagFlightCheckpoint)) {
+  if (const snap::SectionView* s = snap.find(kTagFlightCheckpoint)) {
     snap::SectionReader r(s->payload, sim::Time::zero());
     dump.has_checkpoint = true;
     dump.checkpoint_id = r.u64();

@@ -18,7 +18,8 @@
 // flight-specific sections, bundling the latest full checkpoint blob the
 // owner handed to note_checkpoint(). That makes a dump self-contained for
 // post-mortem time travel: restore the embedded checkpoint into a fresh
-// warmed-up snap::Room, attach a snap::ReplayHarness, run forward, and the
+// warmed-up scn::ScenarioInstance, attach a snap::ReplayHarness, run
+// forward, and the
 // faulting event (identified by its (when, id, seq) ring record) is
 // reached bit-exactly.
 #pragma once

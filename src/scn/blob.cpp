@@ -209,11 +209,11 @@ Scenario decode(std::span<const std::uint8_t> blob) {
   Scenario s;
   ExprStack stack;
   stack.reserve(16);
-  const snap::Section* sections[5] = {};
+  const snap::SectionView* sections[5] = {};
   constexpr std::uint32_t required[5] = {kTagHeader, kTagEntities, kTagBuild,
                                          kTagTraffic, kTagPhases};
-  const snap::Section* strategy_section = nullptr;
-  for (const snap::Section& sec : reader->sections()) {
+  const snap::SectionView* strategy_section = nullptr;
+  for (const snap::SectionView& sec : reader->sections()) {
     bool known = false;
     for (int k = 0; k < 5; ++k) {
       if (sec.tag == required[k]) {

@@ -45,8 +45,8 @@ std::uint64_t fleet_fingerprint(const std::vector<std::uint64_t>& shard_fps);
 
 /// What a full-stack room did, as its fingerprint folds it: the medium's
 /// counters, pings, registrations, the first goal's outcome and the
-/// viewer's updates. snap::Room, scn::ScenarioInstance and fleet_bench's
-/// run_room all fill it, so the three rooms share one digest definition.
+/// viewer's updates. scn::ScenarioInstance fills it; the recorded Smart
+/// Projector goldens (bench/golden.hpp) are folds of it.
 struct RoomOutcome {
   std::uint64_t transmissions = 0;
   std::uint64_t deliveries_attempted = 0;

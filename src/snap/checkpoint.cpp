@@ -101,15 +101,17 @@ std::vector<std::uint8_t> CheckpointManager::materialize(
   const SnapReader base_r(base);
   const SnapReader incr_r(incremental);
   SnapWriter w;
-  for (const Section& s : base_r.sections()) {
-    const Section* updated = incr_r.find(s.tag);
-    const Section& pick = updated ? *updated : s;
-    w.add(pick.tag, pick.flags, pick.payload);
+  const auto add = [&w](const SectionView& s) {
+    w.add(s.tag, s.flags, {s.payload.begin(), s.payload.end()});
+  };
+  for (const SectionView& s : base_r.sections()) {
+    const SectionView* updated = incr_r.find(s.tag);
+    add(updated ? *updated : s);
   }
   // A section absent from the base can only appear if the registry grew
   // between the two captures; preserve it so restore still sees it.
-  for (const Section& s : incr_r.sections()) {
-    if (base_r.find(s.tag) == nullptr) w.add(s.tag, s.flags, s.payload);
+  for (const SectionView& s : incr_r.sections()) {
+    if (base_r.find(s.tag) == nullptr) add(s);
   }
   return w.finish();
 }

@@ -3,7 +3,7 @@
 // A checkpoint is a flat byte blob:
 //
 //   [8]  magic "AROMSNAP"
-//   [4]  format version (little-endian u32, currently 1)
+//   [4]  format version (little-endian u32, currently 2)
 //   [4]  section count
 //   then per section:
 //   [4]  tag (a four-character code, e.g. 'SIM!')
@@ -48,7 +48,10 @@ class SnapError : public std::runtime_error {
 };
 
 inline constexpr char kMagic[8] = {'A', 'R', 'O', 'M', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+// Version 2: the room sections became the scenario runtime's (per-goal
+// outcomes, per-traffic timers and train generators, in-flight procedure
+// attempts), so a version-1 blob is rejected at the header.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Section flag: readers that do not recognize the tag may skip it.
 inline constexpr std::uint32_t kSectionOptional = 1u << 0;
@@ -233,10 +236,19 @@ class SectionReader {
 // ---------------------------------------------------------------------------
 // Container assembly and parsing.
 
+/// One section as SnapWriter assembles it: the payload is owned.
 struct Section {
   std::uint32_t tag = 0;
   std::uint32_t flags = 0;
   std::vector<std::uint8_t> payload;
+};
+
+/// One section as SnapReader parses it: the payload views the caller's
+/// blob, so it is valid only while that blob is.
+struct SectionView {
+  std::uint32_t tag = 0;
+  std::uint32_t flags = 0;
+  std::span<const std::uint8_t> payload;
 };
 
 /// Assembles a checkpoint blob from sections.
@@ -287,6 +299,8 @@ class SnapWriter {
 
 /// Parses and validates a checkpoint blob: magic, version, section table,
 /// and every section's CRC. Throws SnapError on any structural problem.
+/// Sections view the blob without copying it; the blob must outlive the
+/// reader.
 class SnapReader {
  public:
   explicit SnapReader(std::span<const std::uint8_t> blob)
@@ -325,7 +339,7 @@ class SnapReader {
     const std::uint32_t count = get32();
     sections_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
-      Section s;
+      SectionView s;
       s.tag = get32();
       s.flags = get32();
       const std::uint64_t len = get64();
@@ -335,31 +349,30 @@ class SnapReader {
                         std::to_string(len) + " bytes declared, " +
                         std::to_string(blob.size() - pos) + " remain)");
       }
-      s.payload.assign(blob.begin() + static_cast<std::ptrdiff_t>(pos),
-                       blob.begin() + static_cast<std::ptrdiff_t>(pos + len));
+      s.payload = blob.subspan(pos, static_cast<std::size_t>(len));
       pos += static_cast<std::size_t>(len);
       const std::uint32_t got_crc = crc32(s.payload.data(), s.payload.size());
       if (got_crc != want_crc) {
         throw SnapError("section " + tag_name(s.tag) + " CRC mismatch");
       }
-      sections_.push_back(std::move(s));
+      sections_.push_back(s);
     }
     if (pos != blob.size()) {
       throw SnapError("blob has trailing bytes after the last section");
     }
   }
 
-  const std::vector<Section>& sections() const { return sections_; }
+  const std::vector<SectionView>& sections() const { return sections_; }
 
-  const Section* find(std::uint32_t tag) const {
-    for (const Section& s : sections_) {
+  const SectionView* find(std::uint32_t tag) const {
+    for (const SectionView& s : sections_) {
       if (s.tag == tag) return &s;
     }
     return nullptr;
   }
 
  private:
-  std::vector<Section> sections_;
+  std::vector<SectionView> sections_;
 };
 
 }  // namespace aroma::snap

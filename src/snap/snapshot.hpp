@@ -123,13 +123,13 @@ class SnapshotRegistry {
   /// and rejected otherwise; a registered section missing from the blob is
   /// an error unless it was registered with kSectionOptional.
   void restore_all(const SnapReader& r, const RestoreCtx& ctx) const {
-    for (const Section& s : r.sections()) {
+    for (const SectionView& s : r.sections()) {
       if (known(s.tag)) continue;
       if (s.flags & kSectionOptional) continue;  // forward-skippable
       throw SnapError("unknown required section " + tag_name(s.tag));
     }
     for (const Entry& e : entries_) {
-      const Section* s = r.find(e.tag);
+      const SectionView* s = r.find(e.tag);
       if (s == nullptr) {
         if (e.flags & kSectionOptional) continue;
         throw SnapError("blob is missing required section " + e.name);

@@ -49,6 +49,7 @@ void UserAgent::attempt(std::vector<ProcedureStep> steps,
   run->steps = std::move(steps);
   run->started = world_.now();
   run->done = std::move(done);
+  current_ = run;
   run_step(std::move(run));
 }
 
@@ -59,6 +60,7 @@ void UserAgent::finish(std::shared_ptr<Run> run, bool success,
   run->outcome.duration = world_.now() - run->started;
   run->outcome.final_frustration = frustration_;
   --active_runs_;
+  if (current_ == run) current_.reset();
   if (run->done) run->done(run->outcome);
 }
 
@@ -76,66 +78,81 @@ void UserAgent::run_step(std::shared_ptr<Run> run) {
   frustration_ += params_.frustration_per_minute_waiting *
                   (think.seconds() / 60.0);
 
-  world_.sim().schedule_in(think, [this, run = std::move(run)]() mutable {
-    ProcedureStep& step = run->steps[run->index];
-    const bool user_errs = rng_.bernoulli(error_probability(step));
-    if (user_errs) {
-      ++run->outcome.errors;
-      frustration_ += params_.frustration_per_error *
-                      (1.0 + step.conceptual_difficulty);
-      // Errors teach: familiarity grows through failure analysis too.
-      familiarity_[step.name] = std::min(
-          1.0, familiarity(step.name) + 0.5 * faculties_.learning_rate);
-      if (step.unrecoverable) {
-        finish(std::move(run), /*success=*/false, /*abandoned=*/false);
-        return;
-      }
-      // Recover, then retry the same step.
-      world_.sim().schedule_in(params_.error_recovery,
-                               [this, run = std::move(run)]() mutable {
-                                 run_step(std::move(run));
-                               });
+  schedule(think, std::move(run), /*recovery=*/false);
+}
+
+void UserAgent::schedule(sim::Time delay, std::shared_ptr<Run> run,
+                         bool recovery) {
+  pending_category_ = world_.sim().current_category();
+  pending_recovery_ = recovery;
+  pending_ = world_.sim().schedule_in(delay, wake(std::move(run), recovery));
+}
+
+sim::Callback UserAgent::wake(std::shared_ptr<Run> run, bool recovery) {
+  return [this, run = std::move(run), recovery]() mutable {
+    if (recovery) {
+      run_step(std::move(run));
+    } else {
+      act(std::move(run));
+    }
+  };
+}
+
+void UserAgent::act(std::shared_ptr<Run> run) {
+  ProcedureStep& step = run->steps[run->index];
+  const bool user_errs = rng_.bernoulli(error_probability(step));
+  if (user_errs) {
+    ++run->outcome.errors;
+    frustration_ += params_.frustration_per_error *
+                    (1.0 + step.conceptual_difficulty);
+    // Errors teach: familiarity grows through failure analysis too.
+    familiarity_[step.name] = std::min(
+        1.0, familiarity(step.name) + 0.5 * faculties_.learning_rate);
+    if (step.unrecoverable) {
+      finish(std::move(run), /*success=*/false, /*abandoned=*/false);
       return;
     }
-    // Execute the real system action.
-    auto after = [this, run = std::move(run)](bool system_ok) mutable {
-      ProcedureStep& step = run->steps[run->index];
-      if (!system_ok) {
-        ++run->outcome.errors;
-        frustration_ += params_.frustration_per_error;
-        // A system refusal is confusing in proportion to difficulty; a
-        // troubleshooting-capable user turns it into familiarity.
-        familiarity_[step.name] =
-            std::min(1.0, familiarity(step.name) +
-                              0.5 * faculties_.tech_troubleshooting);
-        world_.sim().schedule_in(params_.error_recovery,
-                                 [this, run = std::move(run)]() mutable {
-                                   run_step(std::move(run));
-                                 });
-        return;
-      }
+    // Recover, then retry the same step.
+    schedule(params_.error_recovery, std::move(run), /*recovery=*/true);
+    return;
+  }
+  // Execute the real system action.
+  auto after = [this, run = std::move(run)](bool system_ok) mutable {
+    ProcedureStep& step = run->steps[run->index];
+    if (!system_ok) {
+      ++run->outcome.errors;
+      frustration_ += params_.frustration_per_error;
+      // A system refusal is confusing in proportion to difficulty; a
+      // troubleshooting-capable user turns it into familiarity.
       familiarity_[step.name] =
-          std::min(1.0, familiarity(step.name) + faculties_.learning_rate);
-      frustration_ =
-          std::max(0.0, frustration_ - params_.frustration_decay_per_step);
-      ++run->outcome.steps_completed;
-      ++run->index;
-      run_step(std::move(run));
-    };
-    if (step.action) {
-      step.action(std::move(after));
-    } else {
-      after(true);
+          std::min(1.0, familiarity(step.name) +
+                            0.5 * faculties_.tech_troubleshooting);
+      schedule(params_.error_recovery, std::move(run), /*recovery=*/true);
+      return;
     }
-  });
+    familiarity_[step.name] =
+        std::min(1.0, familiarity(step.name) + faculties_.learning_rate);
+    frustration_ =
+        std::max(0.0, frustration_ - params_.frustration_decay_per_step);
+    ++run->outcome.steps_completed;
+    ++run->index;
+    run_step(std::move(run));
+  };
+  if (step.action) {
+    step.action(std::move(after));
+  } else {
+    after(true);
+  }
 }
 
 bool UserAgent::snap_quiescent(std::string* why) const {
-  if (active_runs_ != 0) {
-    if (why) *why = "procedure attempt in flight";
-    return false;
+  if (active_runs_ == 0) return true;
+  if (active_runs_ == 1 && current_ != nullptr &&
+      world_.sim().pending_event_info(pending_).valid) {
+    return true;  // thinking or recovering: our own event is the only state
   }
-  return true;
+  if (why) *why = "procedure step action in flight";
+  return false;
 }
 
 void UserAgent::save(snap::SectionWriter& w) const {
@@ -149,6 +166,22 @@ void UserAgent::save(snap::SectionWriter& w) const {
   for (const auto& [step, fam] : familiarity_) {
     w.str(step);
     w.f64(fam);
+  }
+  w.b(current_ != nullptr);
+  if (current_ == nullptr) return;
+  w.u64(current_->index);
+  w.u64(current_->outcome.steps_completed);
+  w.u64(current_->outcome.errors);
+  w.time_delta(current_->started);
+  w.b(pending_recovery_);
+  w.u8(static_cast<std::uint8_t>(pending_category_));
+  const sim::Simulator::PendingEventInfo info =
+      world_.sim().pending_event_info(pending_);
+  w.b(info.valid);
+  if (info.valid) {
+    w.time_delta(info.when);
+    w.u64(info.seq);
+    w.u64(info.id);
   }
 }
 
@@ -166,7 +199,40 @@ void UserAgent::restore(snap::SectionReader& r) {
     const std::string step = r.str();
     familiarity_[step] = r.f64();
   }
-  active_runs_ = 0;
+  // Only valid after Simulator::clear_pending(): the warmup's pending
+  // event is gone, so its handle is overwritten, never cancelled.
+  pending_ = sim::EventHandle{};
+  if (!r.b()) {
+    current_.reset();
+    active_runs_ = 0;
+    return;
+  }
+  // The structural rebuild started the same attempt (same steps, same
+  // completion callback); overwrite its position.
+  if (current_ == nullptr) {
+    throw snap::SnapError("user agent " + name_ +
+                          ": no attempt in flight to restore into");
+  }
+  current_->index = static_cast<std::size_t>(r.u64());
+  if (current_->index >= current_->steps.size()) {
+    throw snap::SnapError("user agent " + name_ + ": step index out of range");
+  }
+  current_->outcome.steps_completed = static_cast<std::size_t>(r.u64());
+  current_->outcome.errors = r.u64();
+  current_->started = r.time_delta();
+  pending_recovery_ = r.b();
+  const std::uint8_t category = r.u8();
+  if (category >= sim::kEventCategoryCount) {
+    throw snap::SnapError("user agent " + name_ + ": bad event category");
+  }
+  pending_category_ = static_cast<sim::EventCategory>(category);
+  active_runs_ = 1;
+  if (!r.b()) return;
+  const sim::Time when = r.time_delta();
+  const std::uint64_t seq = r.u64();
+  const std::uint64_t id = r.u64();
+  pending_ = world_.sim().restore_event(when, seq, id, pending_category_,
+                                        wake(current_, pending_recovery_));
 }
 
 }  // namespace aroma::user

@@ -77,11 +77,19 @@ class UserAgent {
 
   std::uint64_t total_attempts() const { return attempts_; }
 
+  /// True while an attempt is in flight (started, `done` not yet fired).
+  bool attempting() const { return active_runs_ != 0; }
+
   // --- checkpoint/restore (see src/snap) ------------------------------------
-  // A procedure attempt in flight is a chain of scheduled closures holding
-  // the run state and the completion callback, so the agent is only
-  // checkpointable between attempts. What persists across attempts — the
-  // RNG stream, frustration, per-step familiarity — round-trips exactly.
+  // An attempt in flight is a chain of scheduled closures holding the run
+  // state and the completion callback. Between steps — while the agent
+  // thinks or recovers from an error — the only pending closure is the
+  // agent's own, so it is checkpointable: save() records the run's
+  // position and the pending event's identity, and restore() overwrites the
+  // structurally rebuilt attempt (same steps, same callback) and re-arms
+  // that event. While a step's system action is in flight the agent is not
+  // quiescent. The RNG stream, frustration and per-step familiarity
+  // round-trip exactly.
   bool snap_quiescent(std::string* why) const;
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
@@ -95,6 +103,12 @@ class UserAgent {
     std::function<void(const TaskOutcome&)> done;
   };
   void run_step(std::shared_ptr<Run> run);
+  /// The think time is over: err, or perform the step's system action.
+  void act(std::shared_ptr<Run> run);
+  /// Schedules the run's next agent-side event (act after `think`, or
+  /// run_step after error recovery) and remembers it for save().
+  void schedule(sim::Time delay, std::shared_ptr<Run> run, bool recovery);
+  sim::Callback wake(std::shared_ptr<Run> run, bool recovery);
   void finish(std::shared_ptr<Run> run, bool success, bool abandoned);
   double familiarity(const std::string& step_name) const;
 
@@ -107,6 +121,11 @@ class UserAgent {
   std::map<std::string, double> familiarity_;  // step name -> 0..1
   std::uint64_t attempts_ = 0;
   int active_runs_ = 0;  // attempts started but not finished
+  // The latest attempt and its pending agent-side event (checkpointing).
+  std::shared_ptr<Run> current_;
+  sim::EventHandle pending_;
+  sim::EventCategory pending_category_ = sim::EventCategory::kNone;
+  bool pending_recovery_ = false;
 };
 
 }  // namespace aroma::user

@@ -16,11 +16,22 @@
 #include "fleet/proc.hpp"
 #include "fleet/wire.hpp"
 #include "fleet/worker.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
-#include "snap/room.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace aroma::fleet {
 namespace {
+
+std::vector<std::uint8_t> scenario_blob(const std::string& name) {
+  return scn::compile_file(std::string(AROMA_SCENARIO_DIR) + "/" + name +
+                           ".scn");
+}
 
 // ---------------------------------------------------------------------------
 // Wire protocol.
@@ -58,6 +69,7 @@ TEST(FleetWire, ShardSpecRoundTrip) {
   spec.micro_rooms = 4096;
   spec.cadence_ns = 2'000'000'000;
   spec.telemetry = true;
+  spec.scenario = {0x41, 0x52, 0x4f, 0x4d};
 
   std::vector<std::uint8_t> buf;
   WireWriter w(buf);
@@ -71,6 +83,7 @@ TEST(FleetWire, ShardSpecRoundTrip) {
   EXPECT_EQ(back.micro_rooms, spec.micro_rooms);
   EXPECT_EQ(back.cadence_ns, spec.cadence_ns);
   EXPECT_EQ(back.telemetry, spec.telemetry);
+  EXPECT_EQ(back.scenario, spec.scenario);
 }
 
 TEST(FleetWire, TruncatedBodyThrows) {
@@ -406,6 +419,46 @@ TEST(FleetProc, HungWorkerIsDetectedByHeartbeatWatchdog) {
   EXPECT_TRUE(watchdog_issue);
 }
 
+// A room shard is a compiled scenario: without the blob there is nothing
+// to build. The coordinator refuses such a fleet up front, and a worker
+// handed one anyway exits instead of guessing a room.
+TEST(FleetWorker, RejectsRoomShardWithoutScenario) {
+  FleetOptions opt;
+  opt.kind = ShardKind::kRoom;
+  EXPECT_THROW(Coordinator(opt).run(), FleetError);
+
+  WorkerProcess wp =
+      WorkerProcess::spawn([](int fd) { return worker_main(fd); });
+  Channel& chan = wp.channel();
+  Frame f;
+  ASSERT_EQ(chan.recv(f, 10000), RecvStatus::kFrame);
+  ASSERT_EQ(f.type, MsgType::kHello);
+  ASSERT_TRUE(chan.send(MsgType::kHelloAck, [](WireWriter&) {}));
+  ShardSpec spec;
+  spec.kind = ShardKind::kRoom;
+  spec.seed = 1;
+  ASSERT_TRUE(
+      chan.send(MsgType::kAssign, [&](WireWriter& w) { spec.encode(w); }));
+  const int status = wp.wait();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
+/// The straight in-process run of the same compiled rooms.
+std::uint64_t straight_room_fingerprint(const std::vector<std::uint8_t>& blob,
+                                        std::size_t shards,
+                                        std::uint64_t seed, bool telemetry) {
+  const scn::Scenario s = scn::decode(blob);
+  std::vector<std::uint64_t> fps;
+  for (std::size_t i = 0; i < shards; ++i) {
+    scn::ScenarioInstance room(s, i, sim::shard_seed(seed, i),
+                               {.use_arena = true, .telemetry = telemetry});
+    room.run();
+    fps.push_back(room.fingerprint());
+  }
+  return sim::fleet_fingerprint(fps);
+}
+
 // Full Smart Projector rooms across processes: fingerprints and merged obs
 // registries (counters + HDR histograms) must be bit-identical between a
 // 1-worker and a 2-worker fleet.
@@ -415,6 +468,7 @@ TEST(FleetProc, RoomFleetMetricsBitIdenticalAcrossWorkerCounts) {
   opt.shards = shards;
   opt.seed = 7;
   opt.kind = ShardKind::kRoom;
+  opt.scenario = scenario_blob("smart_projector");
   opt.cadence_ns = 4'000'000'000;
   opt.telemetry = true;
   opt.heartbeat_timeout_ms = 60000;  // rooms are slow under sanitizers
@@ -433,17 +487,41 @@ TEST(FleetProc, RoomFleetMetricsBitIdenticalAcrossWorkerCounts) {
             two.merged_shard_metrics().to_json());
 
   // And the multi-process fingerprint equals the straight in-process run
-  // of the same checkpointed rooms.
-  std::vector<std::uint64_t> fps;
-  for (std::size_t i = 0; i < shards; ++i) {
-    snap::RoomOptions ropts;
-    ropts.telemetry = true;
-    snap::Room room(i, sim::shard_seed(opt.seed, i), ropts);
-    room.warmup();
-    room.finish();
-    fps.push_back(room.fingerprint());
-  }
-  EXPECT_EQ(r1.fleet_fp, sim::fleet_fingerprint(fps));
+  // of the same rooms.
+  EXPECT_EQ(r1.fleet_fp,
+            straight_room_fingerprint(opt.scenario, shards, opt.seed, true));
+}
+
+// Any library scenario is a fleet room: hospital wards survive a forced
+// live migration and a killed worker (restored from its last streamed
+// checkpoint) with the in-process fingerprint.
+TEST(FleetProc, HospitalWardMigratesAndRecovers) {
+  const std::size_t shards = 4;
+  FleetOptions opt;
+  opt.workers = 2;
+  opt.shards = shards;
+  opt.seed = 11;
+  opt.kind = ShardKind::kRoom;
+  opt.scenario = scenario_blob("hospital_ward");
+  opt.cadence_ns = 4'000'000'000;
+  opt.heartbeat_timeout_ms = 60000;
+  const std::uint64_t expected =
+      straight_room_fingerprint(opt.scenario, shards, opt.seed, false);
+
+  FleetOptions mig = opt;
+  mig.migrations.push_back(MigrationPlan{1, 2});
+  const FleetReport m = Coordinator(mig).run();
+  EXPECT_EQ(m.migrations, 1u);
+  EXPECT_EQ(m.shards_completed, shards);
+  EXPECT_EQ(m.fleet_fp, expected);
+
+  FleetOptions kill = opt;
+  kill.kill = KillPlan{1, 3, KillMode::kExit};
+  const FleetReport k = Coordinator(kill).run();
+  EXPECT_EQ(k.worker_deaths, 1u);
+  EXPECT_EQ(k.lost_shards, 0u);
+  EXPECT_EQ(k.shards_completed, shards);
+  EXPECT_EQ(k.fleet_fp, expected);
 }
 
 }  // namespace

@@ -253,8 +253,8 @@ TEST(ScnBlob, UnknownSectionOptionalSkippedRequiredRejected) {
   const snap::SnapReader reader(blob, scn::kScnMagic, scn::kScnVersion);
   const auto rebuild = [&](std::uint32_t flags) {
     snap::SnapWriter w;
-    for (const snap::Section& s : reader.sections()) {
-      w.add(s.tag, s.flags, s.payload);
+    for (const snap::SectionView& s : reader.sections()) {
+      w.add(s.tag, s.flags, {s.payload.begin(), s.payload.end()});
     }
     w.add(snap::tag4("WAT?"), flags, {1, 2, 3});
     return w.finish(scn::kScnMagic, scn::kScnVersion);
@@ -269,9 +269,9 @@ TEST(ScnBlob, MissingRequiredSectionRejected) {
   const std::vector<std::uint8_t> blob = scn::compile(kMinimal);
   const snap::SnapReader reader(blob, scn::kScnMagic, scn::kScnVersion);
   snap::SnapWriter w;
-  for (const snap::Section& s : reader.sections()) {
+  for (const snap::SectionView& s : reader.sections()) {
     if (s.tag == scn::kTagPhases) continue;
-    w.add(s.tag, s.flags, s.payload);
+    w.add(s.tag, s.flags, {s.payload.begin(), s.payload.end()});
   }
   EXPECT_THROW(scn::decode(w.finish(scn::kScnMagic, scn::kScnVersion)),
                scn::ScnError);
@@ -375,6 +375,25 @@ TEST(ScnRuntime, RunTwiceThrows) {
   scn::ScenarioInstance inst(s, 0, 1);
   inst.run();
   EXPECT_THROW(inst.run(), scn::ScnError);
+}
+
+// run() is warmup's phases plus finish(), with no checkpoint machinery;
+// the checkpoint-capable warmup() leaves the room's behavior untouched.
+TEST(ScnRuntime, CheckpointSupportOnlyAfterWarmup) {
+  const scn::Scenario s = scn::decode(scn::compile(kMinimal));
+  scn::ScenarioInstance plain(s, 0, 1);
+  plain.run();
+  EXPECT_EQ(plain.registry().section_count(), 0u);
+  EXPECT_THROW(plain.checkpoint(), snap::SnapError);
+
+  scn::ScenarioInstance warm(s, 0, 1);
+  warm.warmup();
+  EXPECT_GT(warm.registry().section_count(), 0u);
+  EXPECT_THROW(warm.warmup(), scn::ScnError);
+  EXPECT_FALSE(warm.checkpoint().empty());
+  warm.finish();
+  EXPECT_EQ(warm.fingerprint(), plain.fingerprint());
+  EXPECT_EQ(warm.events(), plain.events());
 }
 
 // --- Smart Projector goldens ---------------------------------------------

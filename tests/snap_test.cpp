@@ -1,8 +1,9 @@
 // Tests for the snap subsystem: wire format, registry semantics, the
 // checkpoint manager's full/incremental blobs, replay divergence search,
-// and the end-to-end durability property on the Smart Projector room —
+// and the end-to-end durability property on compiled scenario rooms —
 // run(seed, N+M) == run(seed, N) -> checkpoint -> restore -> run(M),
-// bit-equal fingerprints and metrics.
+// bit-equal fingerprints, metrics and event streams, for every library
+// scenario.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,13 +15,19 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "snap/checkpoint.hpp"
 #include "snap/format.hpp"
 #include "snap/replay.hpp"
-#include "snap/room.hpp"
 #include "snap/snapshot.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace {
 
@@ -386,7 +393,7 @@ struct MetricFlattener : obs::MetricsRegistry::Visitor {
   }
 };
 
-std::vector<std::string> flatten_metrics(snap::Room& room) {
+std::vector<std::string> flatten_metrics(scn::ScenarioInstance& room) {
   MetricFlattener f;
   if (room.telemetry() != nullptr) {
     room.telemetry()->metrics().visit(f);
@@ -394,25 +401,32 @@ std::vector<std::string> flatten_metrics(snap::Room& room) {
   return f.lines;
 }
 
-constexpr std::size_t kShard = 1;  // one extra laptop: real contention
+scn::Scenario compile_scenario(const std::string& name) {
+  return scn::decode(scn::compile_file(std::string(AROMA_SCENARIO_DIR) + "/" +
+                                       name + ".scn"));
+}
 
-// The durability property: run(seed, N+M) == run(seed, N) -> checkpoint ->
-// fresh process -> restore -> run(M), compared by behavioral fingerprint
-// (kernel event count + radio + discovery + procedure + viewer chain) and
-// by the entire metrics registry.
+using Room = scn::ScenarioInstance;
+constexpr std::size_t kShard = 1;  // one extra laptop: real contention
+const scn::RunOptions kTelemetry{.use_arena = true, .telemetry = true};
+
+// The durability property on the Smart Projector room: run(seed, N+M) ==
+// run(seed, N) -> checkpoint -> fresh process -> restore -> run(M),
+// compared by behavioral fingerprint (kernel event count + radio +
+// discovery + procedure + viewer chain) and by the entire metrics registry.
 TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
+  const scn::Scenario sp = compile_scenario("smart_projector");
   const std::uint64_t seed = sim::shard_seed(20260806, kShard);
 
   // Reference: the uninterrupted run.
-  snap::Room ref(kShard, seed, {.use_arena = true, .telemetry = true});
-  ref.warmup();
-  ref.finish();
+  Room ref(sp, kShard, seed, kTelemetry);
+  ref.run();
   const std::uint64_t fp_ref = ref.fingerprint();
   const std::vector<std::string> metrics_ref = flatten_metrics(ref);
   ASSERT_FALSE(metrics_ref.empty());
 
   // Interrupted: checkpoint mid-meeting, then keep running to the end.
-  snap::Room live(kShard, seed, {.use_arena = true, .telemetry = true});
+  Room live(sp, kShard, seed, kTelemetry);
   live.warmup();
   live.run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
@@ -425,7 +439,7 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
 
   // Restored: a fresh room resumes from the blob and must be
   // indistinguishable from the reference.
-  snap::Room resumed(kShard, seed, {.use_arena = true, .telemetry = true});
+  Room resumed(sp, kShard, seed, kTelemetry);
   resumed.warmup();
   resumed.restore(cp.blob, Time::zero());
   EXPECT_EQ(resumed.now(), cp.captured_at);
@@ -434,23 +448,28 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
   EXPECT_EQ(flatten_metrics(resumed), metrics_ref);
 }
 
-// The restored run's executed-event stream must be the captured run's
-// continuation, event for event — checked with the replay harness.
-TEST(SnapRoom, RestoredEventStreamMatchesReference) {
-  const std::uint64_t seed = sim::shard_seed(99, kShard);
+// Checkpoints mid-meeting, restores into a fresh instance with a zero gap,
+// and runs both to the end: the restored run's fingerprint must equal an
+// uninterrupted run's, and its executed-event stream must be the captured
+// run's continuation, event for event (checked with the replay harness).
+void expect_restore_resumes(const scn::Scenario& s, std::size_t shard,
+                            std::uint64_t seed, Time capture_at) {
+  Room ref(s, shard, seed);
+  ref.run();
 
-  snap::Room live(kShard, seed, {});
+  Room live(s, shard, seed);
   live.warmup();
-  live.run_until(Time::sec(50.0));
+  live.run_until(capture_at);
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
+  ASSERT_LT(cp.captured_at, live.horizon());
 
   snap::ReplayHarness expected;
   expected.attach(live.world().sim());
   live.finish();
   expected.detach(live.world().sim());
 
-  snap::Room resumed(kShard, seed, {});
+  Room resumed(s, shard, seed);
   resumed.warmup();
   resumed.restore(cp.blob, Time::zero());
   snap::ReplayHarness actual;
@@ -458,6 +477,9 @@ TEST(SnapRoom, RestoredEventStreamMatchesReference) {
   resumed.finish();
   actual.detach(resumed.world().sim());
 
+  EXPECT_EQ(live.fingerprint(), ref.fingerprint())
+      << "taking a checkpoint perturbed the observed run";
+  EXPECT_EQ(resumed.fingerprint(), ref.fingerprint());
   ASSERT_GT(expected.size(), 0u);
   EXPECT_EQ(expected.stream_hash(), actual.stream_hash());
   const snap::Divergence d =
@@ -466,24 +488,51 @@ TEST(SnapRoom, RestoredEventStreamMatchesReference) {
       << "first divergence at event " << d.index << " of " << expected.size();
 }
 
+TEST(SnapRoom, RestoredEventStreamMatchesReference) {
+  const scn::Scenario sp = compile_scenario("smart_projector");
+  expect_restore_resumes(sp, kShard, sim::shard_seed(99, kShard),
+                         Time::sec(50.0));
+}
+
+// Every library scenario is checkpointable: one small shard each, captured
+// halfway through its meeting.
+class SnapLibrary : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SnapLibrary, MidMeetingRestoreResumesBitIdentically) {
+  const scn::Scenario s = compile_scenario(GetParam());
+  const Room probe(s, kShard, 0);
+  const Time mid = probe.meeting_start() +
+                   Time::ns((probe.horizon() - probe.meeting_start()).count() /
+                            2);
+  expect_restore_resumes(s, kShard, sim::shard_seed(2026, kShard), mid);
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, SnapLibrary,
+                         ::testing::Values("smart_projector", "office_tower",
+                                           "conference_hall", "hospital_ward",
+                                           "stadium", "campus_mesh"),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           return std::string(i.param);
+                         });
+
 // Optional sections really are optional: a blob captured with telemetry
-// restores into a build/room without it (OBSM/OBSS are skipped), and the
+// restores into a room without it (OBSM/OBSS are skipped), and the
 // behavioral fingerprint still matches a telemetry-free reference.
 TEST(SnapRoom, TelemetrySectionsAreForwardSkippable) {
+  const scn::Scenario sp = compile_scenario("smart_projector");
   const std::uint64_t seed = sim::shard_seed(424242, kShard);
 
-  snap::Room ref(kShard, seed, {.use_arena = true, .telemetry = false});
-  ref.warmup();
-  ref.finish();
+  Room ref(sp, kShard, seed);
+  ref.run();
   const std::uint64_t fp_ref = ref.fingerprint();
 
-  snap::Room live(kShard, seed, {.use_arena = true, .telemetry = true});
+  Room live(sp, kShard, seed, kTelemetry);
   live.warmup();
   live.run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
 
-  snap::Room resumed(kShard, seed, {.use_arena = true, .telemetry = false});
+  Room resumed(sp, kShard, seed);
   resumed.warmup();
   resumed.restore(cp.blob, Time::zero());
   resumed.finish();
@@ -491,15 +540,18 @@ TEST(SnapRoom, TelemetrySectionsAreForwardSkippable) {
 }
 
 TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
+  const scn::Scenario sp = compile_scenario("smart_projector");
   const std::uint64_t seed = sim::shard_seed(5, 0);
-  snap::Room live(0, seed, {});
+  Room live(sp, 0, seed);
   live.warmup();
   live.run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
 
-  snap::Room victim(0, seed, {});
+  Room victim(sp, 0, seed);
   victim.warmup();
+  const Time before = victim.now();
+  const std::uint64_t executed = victim.events();
 
   std::vector<std::uint8_t> corrupt = cp.blob;
   corrupt[corrupt.size() / 2] ^= 0x40;
@@ -510,13 +562,21 @@ TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
                                           static_cast<long>(cp.blob.size() / 2));
   EXPECT_THROW(victim.restore(truncated, Time::zero()), snap::SnapError);
   EXPECT_EQ(victim.restores(), 0u);
+  EXPECT_EQ(victim.now(), before);
+  EXPECT_EQ(victim.events(), executed);
+
+  // Untouched: the victim still restores the intact blob and resumes.
+  victim.restore(cp.blob, Time::zero());
+  EXPECT_EQ(victim.restores(), 1u);
+  EXPECT_EQ(victim.now(), cp.captured_at);
 }
 
 // --- checkpoint manager ----------------------------------------------------
 
 TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
+  const scn::Scenario sp = compile_scenario("smart_projector");
   const std::uint64_t seed = sim::shard_seed(31337, kShard);
-  snap::Room room(kShard, seed, {});
+  Room room(sp, kShard, seed);
   room.warmup();
   room.run_until(Time::sec(48.0));
 
@@ -535,7 +595,7 @@ TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
             full.blob);
 
   // A bare incremental blob is not restorable on its own.
-  snap::Room victim(kShard, seed, {});
+  Room victim(sp, kShard, seed);
   victim.warmup();
   EXPECT_THROW(victim.restore(incr.blob, Time::zero()), snap::SnapError);
 
@@ -547,8 +607,9 @@ TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
 }
 
 TEST(CheckpointManager, CadenceAlternatesFullAndIncremental) {
+  const scn::Scenario sp = compile_scenario("smart_projector");
   const std::uint64_t seed = sim::shard_seed(8, kShard);
-  snap::Room room(kShard, seed, {});
+  Room room(sp, kShard, seed);
   room.warmup();
   room.run_until(Time::sec(46.0));
 
