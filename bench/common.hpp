@@ -8,9 +8,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -142,6 +144,75 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+/// `--flag value` command lines, declared once: each flag binds to a
+/// variable and parses into its type (a number list for vectors; a bool
+/// flag takes no value). An unknown flag prints `usage` and a flag missing
+/// its value says so; both exit with status 2.
+class Flags {
+ public:
+  Flags& add(const char* name, std::string& v) {
+    return bind(name, [&v](const char* s) { v = s; });
+  }
+  Flags& add(const char* name, std::uint64_t& v) {
+    return bind(name, [&v](const char* s) { v = std::strtoull(s, nullptr, 10); });
+  }
+  Flags& add(const char* name, std::uint32_t& v) {
+    return bind(name, [&v](const char* s) {
+      v = static_cast<std::uint32_t>(std::strtoull(s, nullptr, 10));
+    });
+  }
+  Flags& add(const char* name, int& v) {
+    return bind(name, [&v](const char* s) { v = std::atoi(s); });
+  }
+  Flags& add(const char* name, double& v) {
+    return bind(name, [&v](const char* s) { v = std::strtod(s, nullptr); });
+  }
+  Flags& add(const char* name, std::vector<std::size_t>& v) {
+    return bind(name, [&v](const char* s) { v = parse_csv(s); });
+  }
+  Flags& add(const char* name, bool& v) {
+    flags_.push_back({name, nullptr, &v});
+    return *this;
+  }
+
+  void parse(int argc, char** argv, const char* usage) const {
+    for (int i = 1; i < argc; ++i) {
+      const Flag* f = find(argv[i]);
+      if (f == nullptr) {
+        std::fprintf(stderr, "%s\n", usage);
+        std::exit(2);
+      }
+      if (f->set_bool != nullptr) {
+        *f->set_bool = true;
+        continue;
+      }
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s needs a value\n", f->name);
+        std::exit(2);
+      }
+      f->set(argv[++i]);
+    }
+  }
+
+ private:
+  struct Flag {
+    const char* name;
+    std::function<void(const char*)> set;
+    bool* set_bool;
+  };
+  Flags& bind(const char* name, std::function<void(const char*)> set) {
+    flags_.push_back({name, std::move(set), nullptr});
+    return *this;
+  }
+  const Flag* find(const char* arg) const {
+    for (const Flag& f : flags_) {
+      if (std::string_view(f.name) == arg) return &f;
+    }
+    return nullptr;
+  }
+  std::vector<Flag> flags_;
+};
 
 /// Prints a table header + separator: title, then column names.
 inline void table_header(const std::string& title,

@@ -506,34 +506,16 @@ int main(int argc, char** argv) {
   double min_hit_rate = 0.8;
   double min_reduction = 5.0;
   bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--services") == 0) {
-      services = std::strtoull(need("--services"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      sessions = std::strtoull(need("--sessions"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0) {
-      min_speedup = std::strtod(need("--min-speedup"), nullptr);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: disco_bench [--seed n] [--json path] "
-                   "[--services n] [--sessions n] [--min-speedup x] "
-                   "[--quick]\n");
-      return 2;
-    }
-  }
+  benchsup::Flags()
+      .add("--seed", seed)
+      .add("--json", json_path)
+      .add("--services", services)
+      .add("--sessions", sessions)
+      .add("--min-speedup", min_speedup)
+      .add("--quick", quick)
+      .parse(argc, argv,
+             "usage: disco_bench [--seed n] [--json path] [--services n] "
+             "[--sessions n] [--min-speedup x] [--quick]");
   // --quick trims the leg sizes for CI smoke, keeping every gate armed.
   const std::size_t n_equality = quick ? 300 : 1500;
   const std::size_t n_throughput = quick ? 5000 : 1000000;

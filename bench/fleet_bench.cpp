@@ -346,38 +346,19 @@ int main(int argc, char** argv) {
   std::size_t scale_shards = 256;
   std::uint32_t scale_rooms = 4096;
   std::vector<std::size_t> scale_workers = {1, 2, 4, 8};
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      shard_counts = parse_csv(need("--shards"));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--min-efficiency") == 0) {
-      min_efficiency = std::strtod(need("--min-efficiency"), nullptr);
-    } else if (std::strcmp(argv[i], "--scale-shards") == 0) {
-      scale_shards = std::strtoull(need("--scale-shards"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--scale-rooms") == 0) {
-      scale_rooms = static_cast<std::uint32_t>(
-          std::strtoull(need("--scale-rooms"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--scale-workers") == 0) {
-      scale_workers = parse_csv(need("--scale-workers"));
-    } else {
-      std::fprintf(stderr,
-                   "usage: fleet_bench [--shards n,n,...] [--seed n] "
-                   "[--json path] [--min-efficiency x] [--scale-shards n] "
-                   "[--scale-rooms n] [--scale-workers n,n,...]\n"
-                   "       fleet_bench --fleet-worker <fd>   (internal)\n");
-      return 2;
-    }
-  }
+  benchsup::Flags()
+      .add("--shards", shard_counts)
+      .add("--seed", seed)
+      .add("--json", json_path)
+      .add("--min-efficiency", min_efficiency)
+      .add("--scale-shards", scale_shards)
+      .add("--scale-rooms", scale_rooms)
+      .add("--scale-workers", scale_workers)
+      .parse(argc, argv,
+             "usage: fleet_bench [--shards n,n,...] [--seed n] "
+             "[--json path] [--min-efficiency x] [--scale-shards n] "
+             "[--scale-rooms n] [--scale-workers n,n,...]\n"
+             "       fleet_bench --fleet-worker <fd>   (internal)");
   if (scale_shards == 0 || scale_rooms == 0 || scale_workers.empty()) {
     std::fprintf(stderr, "scale-out config must be non-empty\n");
     return 2;

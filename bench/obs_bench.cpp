@@ -365,38 +365,19 @@ int main(int argc, char** argv) {
   std::string dump_path = "obs_fault_dump.bin";
   double max_overhead_pct = 3.0;
   int reps = 2;
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      shard_counts = parse_csv(need("--shards"));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0) {
-      metrics_path = need("--metrics-json");
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path = need("--trace");
-    } else if (std::strcmp(argv[i], "--dump") == 0) {
-      dump_path = need("--dump");
-    } else if (std::strcmp(argv[i], "--max-overhead") == 0) {
-      max_overhead_pct = std::strtod(need("--max-overhead"), nullptr);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(need("--reps"));
-    } else {
-      std::fprintf(stderr,
-                   "usage: obs_bench [--shards n,n,...] [--seed n] "
-                   "[--json path] [--metrics-json path] [--trace path] "
-                   "[--dump path] [--max-overhead pct] [--reps n]\n");
-      return 2;
-    }
-  }
+  benchsup::Flags()
+      .add("--shards", shard_counts)
+      .add("--seed", seed)
+      .add("--json", json_path)
+      .add("--metrics-json", metrics_path)
+      .add("--trace", trace_path)
+      .add("--dump", dump_path)
+      .add("--max-overhead", max_overhead_pct)
+      .add("--reps", reps)
+      .parse(argc, argv,
+             "usage: obs_bench [--shards n,n,...] [--seed n] "
+             "[--json path] [--metrics-json path] [--trace path] "
+             "[--dump path] [--max-overhead pct] [--reps n]");
   if (shard_counts.empty() || reps < 1) {
     std::fprintf(stderr, "--shards list is empty or --reps < 1\n");
     return 2;

@@ -384,34 +384,16 @@ int main(int argc, char** argv) {
   double min_simd_speedup = 2.0;
   double run_s = 45.0;
   int throughput_iters = 120;
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--min-ratio") == 0) {
-      min_ratio = std::strtod(need("--min-ratio"), nullptr);
-    } else if (std::strcmp(argv[i], "--min-simd-speedup") == 0) {
-      min_simd_speedup = std::strtod(need("--min-simd-speedup"), nullptr);
-    } else if (std::strcmp(argv[i], "--run-s") == 0) {
-      run_s = std::strtod(need("--run-s"), nullptr);
-    } else if (std::strcmp(argv[i], "--throughput-iters") == 0) {
-      throughput_iters = std::atoi(need("--throughput-iters"));
-    } else {
-      std::fprintf(stderr,
-                   "usage: rfb_bench [--seed n] [--json path] "
-                   "[--min-ratio x] [--min-simd-speedup x] [--run-s s] "
-                   "[--throughput-iters n]\n");
-      return 2;
-    }
-  }
+  benchsup::Flags()
+      .add("--seed", seed)
+      .add("--json", json_path)
+      .add("--min-ratio", min_ratio)
+      .add("--min-simd-speedup", min_simd_speedup)
+      .add("--run-s", run_s)
+      .add("--throughput-iters", throughput_iters)
+      .parse(argc, argv,
+             "usage: rfb_bench [--seed n] [--json path] [--min-ratio x] "
+             "[--min-simd-speedup x] [--run-s s] [--throughput-iters n]");
 
   const std::vector<std::string> scenarios = {"slides", "animation", "typing"};
   const std::vector<double> bitrates_mbps = {2.0, 11.0, 54.0};

@@ -70,36 +70,18 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> oracle_shards = {1, 8, 64};
   std::size_t library_shards = 4;
   std::vector<std::size_t> library_workers = {1, 2, 4};
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--scn-dir") == 0) {
-      scn_dir = need("--scn-dir");
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--kernel-json") == 0) {
-      kernel_json = need("--kernel-json");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--oracle-shards") == 0) {
-      oracle_shards = parse_csv(need("--oracle-shards"));
-    } else if (std::strcmp(argv[i], "--library-shards") == 0) {
-      library_shards = std::strtoull(need("--library-shards"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--library-workers") == 0) {
-      library_workers = parse_csv(need("--library-workers"));
-    } else {
-      std::fprintf(stderr,
-                   "usage: scn_bench [--scn-dir path] [--json path] "
-                   "[--kernel-json path] [--seed n] [--oracle-shards n,n,...] "
-                   "[--library-shards n] [--library-workers n,n,...]\n");
-      return 2;
-    }
-  }
+  benchsup::Flags()
+      .add("--scn-dir", scn_dir)
+      .add("--json", json_path)
+      .add("--kernel-json", kernel_json)
+      .add("--seed", seed)
+      .add("--oracle-shards", oracle_shards)
+      .add("--library-shards", library_shards)
+      .add("--library-workers", library_workers)
+      .parse(argc, argv,
+             "usage: scn_bench [--scn-dir path] [--json path] "
+             "[--kernel-json path] [--seed n] [--oracle-shards n,n,...] "
+             "[--library-shards n] [--library-workers n,n,...]");
   if (oracle_shards.empty() || library_workers.empty() ||
       library_shards == 0) {
     std::fprintf(stderr, "shard/worker lists must be non-empty\n");

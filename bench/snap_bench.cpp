@@ -143,31 +143,15 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_snap.json";
   double min_incr_ratio = 2.0;
   double cadence_s = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      shard_counts = parse_csv(need("--shards"));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--min-incr-ratio") == 0) {
-      min_incr_ratio = std::strtod(need("--min-incr-ratio"), nullptr);
-    } else if (std::strcmp(argv[i], "--cadence") == 0) {
-      cadence_s = std::strtod(need("--cadence"), nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: snap_bench [--shards n,n,...] [--seed n] "
-                   "[--json path] [--min-incr-ratio x] [--cadence s]\n");
-      return 2;
-    }
-  }
+  benchsup::Flags()
+      .add("--shards", shard_counts)
+      .add("--seed", seed)
+      .add("--json", json_path)
+      .add("--min-incr-ratio", min_incr_ratio)
+      .add("--cadence", cadence_s)
+      .parse(argc, argv,
+             "usage: snap_bench [--shards n,n,...] [--seed n] "
+             "[--json path] [--min-incr-ratio x] [--cadence s]");
   if (shard_counts.empty()) {
     std::fprintf(stderr, "--shards list is empty\n");
     return 2;
