@@ -48,9 +48,8 @@ class SnapError : public std::runtime_error {
 };
 
 inline constexpr char kMagic[8] = {'A', 'R', 'O', 'M', 'S', 'N', 'A', 'P'};
-// Version 2: the room sections became the scenario runtime's (per-goal
-// outcomes, per-traffic timers and train generators, in-flight procedure
-// attempts), so a version-1 blob is rejected at the header.
+// Bumped whenever a section's layout changes, so an older blob is rejected
+// at the header instead of being misread.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Section flag: readers that do not recognize the tag may skip it.
